@@ -200,7 +200,11 @@ runModel(AccelKind kind, workload::ModelId model, double sparsity,
     }
     // Representatives are independent simulator runs: simulate them in
     // parallel, then accumulate in the map's (sorted-key) order so the
-    // floating-point totals match the serial path bit for bit.
+    // floating-point totals match the serial path bit for bit. Every
+    // accelerator walks a model's shapes in that same order, so cells of
+    // one model running side by side (the fig13 grid) ask for the same
+    // layer at about the same time and share its weight synthesis
+    // (workload::synthShared).
     std::vector<std::pair<workload::GemmShape, double>> reps;
     reps.reserve(groups.size());
     for (const auto &[key, entry] : groups)

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "core/mask_search.hpp"
-#include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "obs/obs.hpp"
 #include "synth.hpp"
@@ -24,6 +23,20 @@ using format::StorageFormat;
 using sim::BlockTask;
 using sim::LayerProfile;
 
+namespace {
+
+/** Kept count in [c0, c0+len) of row r: one popcount per 64 columns. */
+size_t
+keptInRange(const Mask &mask, size_t r, size_t c0, size_t len)
+{
+    size_t nnz = 0;
+    for (size_t off = 0; off < len; off += 64)
+        nnz += mask.rangeNnz(r, c0 + off, std::min<size_t>(64, len - off));
+    return nnz;
+}
+
+} // namespace
+
 core::TbsMeta
 deriveMeta(const Mask &mask, size_t m)
 {
@@ -37,12 +50,9 @@ deriveMeta(const Mask &mask, size_t m)
     for (size_t br = 0; br < meta.blockRows; ++br) {
         for (size_t bc = 0; bc < meta.blockCols; ++bc) {
             size_t max_row = 0;
-            for (size_t r = 0; r < m; ++r) {
-                size_t row_nnz = 0;
-                for (size_t c = 0; c < m; ++c)
-                    row_nnz += mask.at(br * m + r, bc * m + c);
-                max_row = std::max(max_row, row_nnz);
-            }
+            for (size_t r = 0; r < m; ++r)
+                max_row = std::max(max_row,
+                                   keptInRange(mask, br * m + r, bc * m, m));
             meta.block(br, bc) = {static_cast<uint8_t>(max_row),
                                   SparsityDim::Reduction};
         }
@@ -189,8 +199,11 @@ buildLayerProfileUncached(const ProfileSpec &spec)
     const double scale =
         static_cast<double>(shape.x) / static_cast<double>(rows);
 
-    const Matrix w = synthWeights(shape, spec.seed, rows);
-    const Matrix scores = core::magnitudeScores(w);
+    // Every accelerator building this layer at the same time shares
+    // one synthesis (the weights depend only on shape and seed).
+    const auto synth = synthShared(shape, spec.seed, rows);
+    const Matrix &w = synth->w;
+    const Matrix &scores = synth->scores;
     const std::vector<uint8_t> cand = core::defaultCandidates(m);
 
     Mask mask;
@@ -255,9 +268,8 @@ buildLayerProfileUncached(const ProfileSpec &spec)
             size_t nnz = 0;
             size_t nonempty = 0;
             for (size_t r = 0; r < m; ++r) {
-                size_t row_nnz = 0;
-                for (size_t c = 0; c < m; ++c)
-                    row_nnz += mask.at(br * m + r, bc * m + c);
+                const size_t row_nnz =
+                    keptInRange(mask, br * m + r, bc * m, m);
                 nnz += row_nnz;
                 nonempty += row_nnz > 0;
             }

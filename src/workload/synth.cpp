@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <map>
+#include <mutex>
+#include <tuple>
 
+#include "core/prune.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace tbstc::workload {
@@ -62,6 +68,104 @@ synthWeights(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
         }
     }
     return w;
+}
+
+namespace {
+
+using SharedLayer = std::shared_ptr<const SynthLayer>;
+
+/** Every input synthWeights reads: name, x, y, row cap, seed. */
+using SynthKey =
+    std::tuple<std::string, uint64_t, uint64_t, uint64_t, uint64_t>;
+
+struct SynthEntry
+{
+    std::weak_ptr<const SynthLayer> layer; ///< Set once produced.
+    std::shared_future<SharedLayer> inflight; ///< Valid while producing.
+};
+
+struct SynthFlights
+{
+    std::mutex m;
+    std::map<SynthKey, SynthEntry> entries;
+};
+
+SynthFlights &
+synthFlights()
+{
+    static SynthFlights flights;
+    return flights;
+}
+
+/** Host-domain: how often a caller shared is schedule-dependent. */
+void
+countSynth(bool shared)
+{
+    if (!obs::metricsEnabled())
+        return;
+    static const obs::Counter synthesized =
+        obs::counter("workload.weights.synthesized", obs::Domain::Host);
+    static const obs::Counter reused =
+        obs::counter("workload.weights.shared", obs::Domain::Host);
+    (shared ? reused : synthesized).add();
+}
+
+} // namespace
+
+std::shared_ptr<const SynthLayer>
+synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
+{
+    SynthFlights &flights = synthFlights();
+    const SynthKey key{shape.name, shape.x, shape.y, max_rows, seed};
+    std::promise<SharedLayer> promise;
+    {
+        std::unique_lock lk(flights.m);
+        const auto it = flights.entries.find(key);
+        if (it != flights.entries.end()) {
+            if (SharedLayer layer = it->second.layer.lock()) {
+                countSynth(true);
+                return layer;
+            }
+            if (it->second.inflight.valid()) {
+                const auto flight = it->second.inflight;
+                lk.unlock();
+                countSynth(true);
+                return flight.get(); // Rethrows the producer's error.
+            }
+        }
+        // Entries whose layer died hold nothing but their key.
+        std::erase_if(flights.entries, [](const auto &e) {
+            return !e.second.inflight.valid() && e.second.layer.expired();
+        });
+        flights.entries[key].inflight = promise.get_future().share();
+    }
+
+    countSynth(false);
+    SharedLayer layer;
+    try {
+        Matrix w = synthWeights(shape, seed, max_rows);
+        Matrix scores = core::magnitudeScores(w);
+        layer = std::make_shared<const SynthLayer>(
+            SynthLayer{std::move(w), std::move(scores)});
+    } catch (...) {
+        {
+            const std::lock_guard lk(flights.m);
+            flights.entries.erase(key);
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
+    {
+        // Drop the future from the map before fulfilling it: the
+        // future's shared state holds the layer, and only waiters that
+        // already copied it may keep that alive.
+        const std::lock_guard lk(flights.m);
+        SynthEntry &entry = flights.entries.at(key);
+        entry.layer = layer;
+        entry.inflight = {};
+    }
+    promise.set_value(layer);
+    return layer;
 }
 
 Matrix

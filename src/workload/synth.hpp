@@ -13,6 +13,7 @@
 #ifndef TBSTC_WORKLOAD_SYNTH_HPP
 #define TBSTC_WORKLOAD_SYNTH_HPP
 
+#include <memory>
 #include <string>
 
 #include "core/matrix.hpp"
@@ -29,6 +30,28 @@ uint64_t nameHash(const std::string &name);
  */
 core::Matrix synthWeights(const GemmShape &shape, uint64_t seed,
                           uint64_t max_rows = 0);
+
+/** One layer's synthesized weights and their magnitude scores. */
+struct SynthLayer
+{
+    core::Matrix w;
+    core::Matrix scores; ///< core::magnitudeScores(w).
+};
+
+/**
+ * synthWeights(@p shape, @p seed, @p max_rows) and its magnitude
+ * scores, shared with every concurrent caller asking for the same
+ * inputs. Single-flight: the first caller for a key synthesizes
+ * (outside any lock) while later callers wait for and share its
+ * result; if synthesis throws, every waiter gets the same exception.
+ * Nothing is retained: the process-wide map holds only a weak
+ * reference, so a layer lives exactly as long as its last holder and
+ * the next caller after that synthesizes again. Serial callers
+ * therefore compute exactly what synthWeights + magnitudeScores do.
+ */
+std::shared_ptr<const SynthLayer> synthShared(const GemmShape &shape,
+                                              uint64_t seed,
+                                              uint64_t max_rows = 0);
 
 /** Synthesize a calibration activation batch (samples x features). */
 core::Matrix synthActivations(uint64_t samples, uint64_t features,
