@@ -113,7 +113,7 @@ BM_CodecConvert(benchmark::State &state)
     const format::CodecConfig cfg{8, 2, 2};
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            format::convertToComputation(storage, cfg));
+            format::tryDecodeBlock(storage, cfg));
     state.SetItemsProcessed(state.iterations() * storage.size());
 }
 BENCHMARK(BM_CodecConvert);

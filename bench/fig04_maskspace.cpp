@@ -7,6 +7,10 @@
  * Paper reference: TBS reaches 85.31%-91.62% similarity with US, far
  * above the other structured patterns; mask-space ordering is
  * TS < RS-V < RS-H < TBS < US at X = Y, M = 8.
+ *
+ * The similarity table adds one row beyond the paper: SlideSparse
+ * (2N-2):2N (arxiv 2603.05232), whose m-2-per-tile cap is looser than
+ * TBS's, so its US agreement lands above it (TS < TBS < SS).
  */
 
 #include <cstdio>
@@ -23,7 +27,8 @@ int
 main()
 {
     const std::vector<Pattern> patterns{Pattern::TS, Pattern::RSV,
-                                        Pattern::RSH, Pattern::TBS};
+                                        Pattern::RSH, Pattern::TBS,
+                                        Pattern::SS};
 
     util::banner("Fig. 4(b): mask similarity with US "
                  "(ResNet-50-style 75% sparsity; paper: TBS "

@@ -75,7 +75,7 @@ main()
                                    static_cast<uint8_t>(rows[k]), col});
         }
         const auto out =
-            format::convertToComputation(storage, {8, 2, 2});
+            format::tryDecodeBlock(storage, {8, 2, 2}).value();
         const double nnz = static_cast<double>(storage.size());
         c.addRow({std::to_string(n) + ":8", std::to_string(storage.size()),
                   std::to_string(out.cycles),

@@ -160,7 +160,6 @@ runLayer(AccelKind kind, const RunRequest &req)
         ? 0.5 // STC's datapath is hard-wired 4:8.
         : req.sparsity;
     spec.m = req.m;
-    spec.maskStrategy = req.maskStrategy;
     spec.fmt = req.formatOverride.value_or(accelFormat(kind));
     // Structured-only datapaths cannot express independent-dimension
     // blocks and fall back to dense; unstructured-capable ones
@@ -181,8 +180,7 @@ runLayer(AccelKind kind, const RunRequest &req)
 
 RunStats
 runModel(AccelKind kind, workload::ModelId model, double sparsity,
-         uint64_t seq, bool int8_weights, uint64_t seed,
-         const std::string &maskStrategy)
+         uint64_t seq, bool int8_weights, uint64_t seed)
 {
     const obs::ScopedSpan span(util::formatStr(
         "accel.runModel {} model={} seq={}", accelName(kind),
@@ -216,7 +214,6 @@ runModel(AccelKind kind, workload::ModelId model, double sparsity,
             req.sparsity = sparsity;
             req.seed = seed;
             req.int8Weights = int8_weights;
-            req.maskStrategy = maskStrategy;
             return runLayer(kind, req).scaled(reps[i].second);
         });
     RunStats total;
@@ -227,14 +224,13 @@ runModel(AccelKind kind, workload::ModelId model, double sparsity,
 
 RunStats
 runInference(AccelKind kind, workload::ModelId model, double sparsity,
-             uint64_t seq, bool int8_weights, uint64_t seed,
-             const std::string &maskStrategy)
+             uint64_t seq, bool int8_weights, uint64_t seed)
 {
     const obs::ScopedSpan span(util::formatStr(
         "accel.runInference {} model={} seq={}", accelName(kind),
         workload::modelName(model), seq));
-    RunStats total = runModel(kind, model, sparsity, seq, int8_weights,
-                              seed, maskStrategy);
+    RunStats total =
+        runModel(kind, model, sparsity, seq, int8_weights, seed);
     std::vector<workload::InferenceOp> acts;
     for (const auto &op : workload::inferenceGraph(model, seq)) {
         if (!op.weightOp) // Weight ops are covered by runModel().

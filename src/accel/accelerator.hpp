@@ -73,13 +73,6 @@ struct RunRequest
     bool int8Weights = false;
 
     /**
-     * TBS mask-search strategy (core/mask_search.hpp registry name);
-     * empty = default greedy. Threaded into the ProfileSpec, so it is
-     * a determining input of the cached layer profile.
-     */
-    std::string maskStrategy;
-
-    /**
      * Run a different pattern's pruned model on this hardware
      * (ablation Fig. 16(a) deploys the TBS model everywhere).
      * Unsupported independent-dimension blocks fall back to dense.
@@ -103,8 +96,7 @@ sim::RunStats runLayer(AccelKind kind, const RunRequest &req);
  */
 sim::RunStats runModel(AccelKind kind, workload::ModelId model,
                        double sparsity, uint64_t seq = 128,
-                       bool int8_weights = false, uint64_t seed = 42,
-                       const std::string &maskStrategy = {});
+                       bool int8_weights = false, uint64_t seed = 42);
 
 /**
  * Simulate a full inference pass — weight GEMMs at the requested
@@ -114,8 +106,7 @@ sim::RunStats runModel(AccelKind kind, workload::ModelId model,
  */
 sim::RunStats runInference(AccelKind kind, workload::ModelId model,
                            double sparsity, uint64_t seq = 128,
-                           bool int8_weights = false, uint64_t seed = 42,
-                           const std::string &maskStrategy = {});
+                           bool int8_weights = false, uint64_t seed = 42);
 
 } // namespace tbstc::accel
 

@@ -1,9 +1,5 @@
 #include "mask_search.hpp"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-
 #include "util/fmt.hpp"
 #include "util/logging.hpp"
 
@@ -12,38 +8,6 @@ namespace tbstc::core {
 using util::unexpected;
 
 namespace {
-
-struct Registry
-{
-    std::mutex mu;
-    std::map<std::string, MaskStrategyFn> fns;
-};
-
-Registry &
-registry()
-{
-    static Registry reg;
-    static std::once_flag once;
-    std::call_once(once, [] {
-        reg.fns[kGreedyStrategy] =
-            [](const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats) {
-                TbsResult r = tbsMask(scores, sparsity, m, candidates);
-                if (stats != nullptr) {
-                    *stats = {};
-                    stats->blocks = r.meta.blocks.size();
-                }
-                return r;
-            };
-        reg.fns[kOptimalStrategy] =
-            [](const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats) {
-                return tbsMaskOptimal(scores, sparsity, m, candidates,
-                                      stats);
-            };
-    });
-    return reg;
-}
 
 util::Unexpected<MaskError>
 fail(MaskErrorKind kind, std::string message)
@@ -66,56 +30,21 @@ maskErrorKindName(MaskErrorKind kind)
     util::panic("unknown MaskErrorKind");
 }
 
-void
-registerMaskStrategy(const std::string &name, MaskStrategyFn fn)
-{
-    util::ensure(!name.empty(), "mask strategy name must be non-empty");
-    util::ensure(static_cast<bool>(fn), "mask strategy fn must be set");
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    reg.fns[name] = std::move(fn);
-}
-
 bool
 isMaskStrategy(const std::string &name)
 {
-    if (name.empty())
-        return true; // The default strategy.
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    return reg.fns.contains(name);
-}
-
-std::vector<std::string>
-maskStrategyNames()
-{
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    std::vector<std::string> names;
-    names.reserve(reg.fns.size());
-    for (const auto &[name, fn] : reg.fns)
-        names.push_back(name);
-    return names;
+    return name.empty() || name == kGreedyStrategy;
 }
 
 util::Result<MaskOutput, MaskError>
 tryMakeMask(const Matrix &scores, const MaskRequest &req)
 {
-    // Look the strategy up front even for non-TBS patterns: a typo'd
-    // strategy must never silently degrade to the default.
-    const std::string &strategy =
-        req.strategy.empty() ? kGreedyStrategy : req.strategy;
-    MaskStrategyFn fn;
-    {
-        Registry &reg = registry();
-        const std::lock_guard<std::mutex> lock(reg.mu);
-        const auto it = reg.fns.find(strategy);
-        if (it == reg.fns.end())
-            return fail(MaskErrorKind::UnknownStrategy,
-                        util::formatStr("unknown mask strategy \"{}\"",
-                                        strategy));
-        fn = it->second;
-    }
+    // Check the strategy even for non-TBS patterns: a typo'd strategy
+    // must never silently degrade to the default.
+    if (!isMaskStrategy(req.strategy))
+        return fail(MaskErrorKind::UnknownStrategy,
+                    util::formatStr("unknown mask strategy \"{}\"",
+                                    req.strategy));
 
     if (!(req.sparsity >= 0.0 && req.sparsity <= 1.0))
         return fail(MaskErrorKind::BadSparsity,
@@ -153,16 +82,15 @@ tryMakeMask(const Matrix &scores, const MaskRequest &req)
 
     MaskOutput out;
     if (req.pattern == Pattern::TBS) {
-        TbsResult r =
-            fn(scores, req.sparsity, req.m, candidates, &out.stats);
+        TbsResult r = tbsMask(scores, req.sparsity, req.m, candidates);
         out.mask = std::move(r.mask);
         out.meta = std::move(r.meta);
         out.usHamming = r.usHamming;
         return out;
     }
-    // Single-generator families: a known strategy is accepted but has
-    // nothing to select. Dense skips the Pattern::Dense sparsity==0
-    // mismatch question entirely: its mask keeps everything.
+    // Single-generator families: the strategy has nothing to select.
+    // Dense skips the Pattern::Dense sparsity==0 mismatch question
+    // entirely: its mask keeps everything.
     out.mask = patternMask(req.pattern, scores, req.sparsity, req.m,
                            candidates);
     out.meta.m = req.m;

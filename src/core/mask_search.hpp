@@ -1,33 +1,24 @@
 /**
  * @file
- * Strategy-aware mask-search surface.
+ * Validated mask-search surface.
  *
  * tryMakeMask() is the primary entry point for producing a sparsity
- * mask: it validates a MaskRequest, dispatches the pattern family to
- * its generator, and — for TBS — routes the per-block search through a
- * pluggable strategy registry. Two strategies ship built in:
- *
- *   "greedy"  — paper Algorithm 1 (tbsMask): per block, rank-table
- *               top-N in each direction, keep the direction with the
- *               smaller L1 distance to the unstructured mask.
- *   "optimal" — TSENOR-style solver (tbsMaskOptimal): per block, the
- *               exact L1 optimum under the <=N constraint, with a
- *               Hungarian-style b-matching core. Never worse than
- *               greedy on any block; may undershoot the target nnz.
+ * mask: it validates a MaskRequest and dispatches the pattern family
+ * to its generator. TBS has one search, paper Algorithm 1 (tbsMask):
+ * per block, rank-table top-N in each direction, keep the direction
+ * with the smaller L1 distance to the unstructured mask. At the
+ * block's exact N that choice is already the L1 optimum
+ * (docs/mask_search.md), so the strategy vocabulary is closed: "" and
+ * "greedy" both name it.
  *
  * Following the try*-primary convention (see serialize.hpp), the
  * function never throws for bad requests: it returns
  * Result<MaskOutput, MaskError> with a machine-readable error kind.
- * The free functions in sparsify.hpp remain available as byte-stable
- * legacy wrappers for callers that have already validated their
- * inputs.
  */
 
 #ifndef TBSTC_CORE_MASK_SEARCH_HPP
 #define TBSTC_CORE_MASK_SEARCH_HPP
 
-#include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,15 +29,13 @@
 
 namespace tbstc::core {
 
-/** Names of the built-in TBS search strategies. */
+/** The one TBS search strategy name (paper Algorithm 1). */
 inline constexpr const char *kGreedyStrategy = "greedy";
-inline constexpr const char *kOptimalStrategy = "optimal";
 
 /**
- * One mask request. `strategy` selects the TBS search strategy; the
- * empty string means the default ("greedy"). Known strategies are
- * accepted (and ignored) for non-TBS patterns, which each have a
- * single generator; an unknown strategy is always an error, so a typo
+ * One mask request. `strategy` names the TBS search: "" or "greedy".
+ * It is accepted (and ignored) for non-TBS patterns, which each have
+ * a single generator; any other name is always an error, so a typo
  * can never silently fall back to greedy. Empty `candidates` means
  * defaultCandidates(m).
  */
@@ -60,24 +49,22 @@ struct MaskRequest
 };
 
 /**
- * A produced mask plus everything the search learned on the way.
- * `meta` carries the per-block (N, dim) grid for TBS and is an empty
- * grid (blocks.empty()) for the other families; `usHamming` is the L1
- * distance to the same-sparsity unstructured mask for every family;
- * `stats` is filled by TBS strategies (greedy only reports blocks).
+ * A produced mask plus what the search learned on the way. `meta`
+ * carries the per-block (N, dim) grid for TBS and is an empty grid
+ * (blocks.empty()) for the other families; `usHamming` is the L1
+ * distance to the same-sparsity unstructured mask for every family.
  */
 struct MaskOutput
 {
     Mask mask;
     TbsMeta meta;
     size_t usHamming = 0;
-    TbsSearchStats stats;
 };
 
 /** Machine-readable class of a rejected MaskRequest. */
 enum class MaskErrorKind : uint8_t
 {
-    UnknownStrategy, ///< Strategy name not in the registry.
+    UnknownStrategy, ///< Strategy is neither "" nor "greedy".
     BadSparsity,     ///< Sparsity outside [0, 1].
     BadBlockSize,    ///< m == 0, or illegal for the pattern (SS parity).
     NotDivisible,    ///< Matrix does not tile by m as the pattern needs.
@@ -94,27 +81,8 @@ struct MaskError
     std::string message;
 };
 
-/**
- * A TBS search strategy: same contract as tbsMask/tbsMaskOptimal.
- * Inputs are pre-validated by tryMakeMask; the stats pointer may be
- * null.
- */
-using MaskStrategyFn = std::function<TbsResult(
-    const Matrix &scores, double sparsity, size_t m,
-    std::span<const uint8_t> candidates, TbsSearchStats *stats)>;
-
-/**
- * Register (or replace) a TBS search strategy under @p name. The two
- * built-ins are pre-registered; replacing them is allowed but dubious.
- * Thread-safe; names must be non-empty.
- */
-void registerMaskStrategy(const std::string &name, MaskStrategyFn fn);
-
-/** Whether @p name is a registered strategy ("" counts: the default). */
+/** Whether @p name is a strategy tryMakeMask accepts ("" or "greedy"). */
 bool isMaskStrategy(const std::string &name);
-
-/** Registered strategy names, sorted. */
-std::vector<std::string> maskStrategyNames();
 
 /**
  * Validate @p req and produce the mask. See the file comment for the

@@ -176,32 +176,6 @@ checkTileDivisibility(const Matrix &scores, size_t m)
 }
 
 /**
- * Algorithm 1 step-2 input: per-block unstructured densities over the
- * M x M grid. Shared by the greedy and optimal TBS strategies so both
- * feed fitCounts identical units and end up with identical per-block N
- * — the strategies differ only in the step-3 mapper.
- */
-std::vector<FitUnit>
-tbsFitUnits(const Mask &us, size_t m, size_t block_rows, size_t block_cols)
-{
-    std::vector<FitUnit> units(block_rows * block_cols);
-    util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
-        for (size_t br = begin; br < end; ++br) {
-            for (size_t bc = 0; bc < block_cols; ++bc) {
-                size_t nnz = 0;
-                for (size_t r = 0; r < m; ++r)
-                    for (size_t c0 = 0; c0 < m; c0 += 64)
-                        nnz += us.rangeNnz(br * m + r, bc * m + c0,
-                                           std::min<size_t>(64, m - c0));
-                units[br * block_cols + bc] =
-                    {static_cast<double>(nnz), m};
-            }
-        }
-    });
-    return units;
-}
-
-/**
  * Algorithm 1 step-3 worker over block-rows [begin, end).
  *
  * Instead of re-running a top-N selection per (N, dim) candidate, rank
@@ -331,237 +305,6 @@ tbsScoreBlockRows(const Matrix &scores, const Mask &us,
                                               : SparsityDim::Independent};
         }
     }
-}
-
-/** Reusable per-worker scratch of the optimal TBS block solver. */
-struct OptScratch
-{
-    std::vector<uint8_t> usb;       ///< 0/1 unstructured bits, row-major.
-    std::vector<float> blk;         ///< Block scores, row-major.
-    std::vector<uint16_t> rank_row; ///< selectTopN-order rank within row.
-    std::vector<uint16_t> rank_col; ///< ... within column.
-    std::vector<uint16_t> inv_row;  ///< inv_row[r*m+rk] = column at rank rk.
-    std::vector<uint16_t> inv_col;  ///< inv_col[c*m+rk] = row at rank rk.
-    std::vector<size_t> overlap_row;
-    std::vector<size_t> overlap_col;
-    std::vector<size_t> row_us;     ///< US survivors per row.
-    std::vector<size_t> col_us;     ///< ... per column.
-    std::vector<size_t> col_used;   ///< Core occupancy per column.
-    std::vector<uint8_t> core;      ///< Doubly-constrained kept core.
-    std::vector<uint8_t> seen;      ///< DFS column marks.
-    std::vector<uint8_t> keep;      ///< Final block mask, 0/1 bytes.
-};
-
-/**
- * Solve one M x M block to L1 optimality against the unstructured
- * mask (see tbsMaskOptimal's contract in sparsify.hpp). Fills
- * s.keep with the block's final 0/1 image and returns the declared
- * direction; @p improved reports whether the optimum strictly beat
- * the greedy mapper's distance, @p transposable whether the final
- * mask also meets the N cap in the *other* direction, @p augments
- * how many augmenting paths re-routed the matching core.
- */
-SparsityDim
-optimalBlockSolve(const Matrix &scores, const Mask &us, size_t br,
-                  size_t bc, size_t m, uint8_t nb, OptScratch &s,
-                  bool &improved, bool &transposable, size_t &augments)
-{
-    s.blk.resize(m * m);
-    s.usb.assign(m * m, 0);
-    s.rank_row.resize(m * m);
-    s.rank_col.resize(m * m);
-    s.inv_row.resize(m * m);
-    s.inv_col.resize(m * m);
-    s.overlap_row.assign(m + 1, 0);
-    s.overlap_col.assign(m + 1, 0);
-    s.row_us.assign(m, 0);
-    s.col_us.assign(m, 0);
-
-    size_t us_nnz = 0;
-    for (size_t r = 0; r < m; ++r) {
-        const std::span<const float> src = scores.row(br * m + r);
-        std::copy_n(src.data() + bc * m, m, &s.blk[r * m]);
-        for (size_t c0 = 0; c0 < m; c0 += 64) {
-            const size_t len = std::min<size_t>(64, m - c0);
-            uint64_t bits = us.rowBits(br * m + r, bc * m + c0, len);
-            while (bits != 0) {
-                const size_t c =
-                    c0 + static_cast<size_t>(std::countr_zero(bits));
-                bits &= bits - 1;
-                s.usb[r * m + c] = 1;
-                ++s.row_us[r];
-                ++s.col_us[c];
-                ++us_nnz;
-            }
-        }
-    }
-
-    // The greedy mapper's rank oracle, scalar: (score desc, index asc)
-    // within each row and column — selectTopN's strict total order.
-    for (size_t r = 0; r < m; ++r) {
-        const float *row = &s.blk[r * m];
-        for (size_t c = 0; c < m; ++c) {
-            const float v = row[c];
-            unsigned rk = 0;
-            for (size_t c2 = 0; c2 < m; ++c2)
-                rk += static_cast<unsigned>(row[c2] > v)
-                    | (static_cast<unsigned>(row[c2] == v)
-                       & static_cast<unsigned>(c2 < c));
-            s.rank_row[r * m + c] = static_cast<uint16_t>(rk);
-            s.inv_row[r * m + rk] = static_cast<uint16_t>(c);
-        }
-    }
-    for (size_t c = 0; c < m; ++c) {
-        for (size_t r = 0; r < m; ++r) {
-            const float v = s.blk[r * m + c];
-            unsigned rk = 0;
-            for (size_t r2 = 0; r2 < m; ++r2)
-                rk += static_cast<unsigned>(s.blk[r2 * m + c] > v)
-                    | (static_cast<unsigned>(s.blk[r2 * m + c] == v)
-                       & static_cast<unsigned>(r2 < r));
-            s.rank_col[r * m + c] = static_cast<uint16_t>(rk);
-            s.inv_col[c * m + rk] = static_cast<uint16_t>(r);
-        }
-    }
-
-    // Greedy's distances, for the improved-block statistic.
-    for (size_t r = 0; r < m; ++r) {
-        for (size_t c = 0; c < m; ++c) {
-            if (s.usb[r * m + c]) {
-                ++s.overlap_row[s.rank_row[r * m + c] + 1];
-                ++s.overlap_col[s.rank_col[r * m + c] + 1];
-            }
-        }
-    }
-    for (size_t k = 1; k <= m; ++k) {
-        s.overlap_row[k] += s.overlap_row[k - 1];
-        s.overlap_col[k] += s.overlap_col[k - 1];
-    }
-    const size_t g_row = nb * m + us_nnz - 2 * s.overlap_row[nb];
-    const size_t g_col = nb * m + us_nnz - 2 * s.overlap_col[nb];
-    const size_t greedy_dist = g_row <= g_col ? g_row : g_col;
-
-    // The L1 optimum under the <=N constraint keeps unstructured
-    // survivors only, min(us_g, N) per group of the chosen direction.
-    size_t kept_row = 0;
-    size_t kept_col = 0;
-    for (size_t g = 0; g < m; ++g) {
-        kept_row += std::min<size_t>(s.row_us[g], nb);
-        kept_col += std::min<size_t>(s.col_us[g], nb);
-    }
-    const size_t opt_row = us_nnz - kept_row;
-    const size_t opt_col = us_nnz - kept_col;
-    const bool use_row = opt_row <= opt_col; // Greedy's tie-break too.
-    improved = (use_row ? opt_row : opt_col) < greedy_dist;
-
-    // Stage A: Hungarian-style augmenting-path b-matching of the
-    // unstructured survivors under simultaneous row *and* column caps
-    // of N — the doubly-constrained transposable core. Rows are
-    // processed in index order and elements in rank order, so the
-    // matching is deterministic and keeps the highest-scoring
-    // survivors first.
-    s.core.assign(m * m, 0);
-    s.col_used.assign(m, 0);
-    size_t steals = 0;
-    // Free one unit of column c by re-routing a kept edge to a column
-    // with spare capacity, recursively (the alternating-path DFS).
-    auto stealCol = [&](auto &&self, size_t c) -> bool {
-        for (size_t r2 = 0; r2 < m; ++r2) {
-            if (!s.core[r2 * m + c])
-                continue;
-            for (size_t rk = 0; rk < m; ++rk) {
-                const size_t c2 = s.inv_row[r2 * m + rk];
-                if (c2 == c || !s.usb[r2 * m + c2]
-                    || s.core[r2 * m + c2] || s.seen[c2])
-                    continue;
-                s.seen[c2] = 1;
-                if (s.col_used[c2] < nb || self(self, c2)) {
-                    s.core[r2 * m + c] = 0;
-                    s.core[r2 * m + c2] = 1;
-                    ++s.col_used[c2];
-                    --s.col_used[c];
-                    ++steals;
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-    auto addOne = [&](size_t r) -> bool {
-        for (size_t rk = 0; rk < m; ++rk) {
-            const size_t c = s.inv_row[r * m + rk];
-            if (!s.usb[r * m + c] || s.core[r * m + c] || s.seen[c])
-                continue;
-            s.seen[c] = 1;
-            if (s.col_used[c] < nb || stealCol(stealCol, c)) {
-                s.core[r * m + c] = 1;
-                ++s.col_used[c];
-                return true;
-            }
-        }
-        return false;
-    };
-    for (size_t r = 0; r < m; ++r) {
-        const size_t want = std::min<size_t>(s.row_us[r], nb);
-        for (size_t have = 0; have < want; ++have) {
-            s.seen.assign(m, 0);
-            if (!addOne(r))
-                break;
-        }
-    }
-
-    // Stage B: top each declared-direction group up to its quota with
-    // the best-ranked survivors outside the core. The choice cannot
-    // change the L1 distance (every survivor costs the same), only how
-    // transposable the final mask ends up.
-    s.keep.assign(m * m, 0);
-    if (use_row) {
-        for (size_t r = 0; r < m; ++r) {
-            const size_t quota = std::min<size_t>(s.row_us[r], nb);
-            size_t got = 0;
-            for (size_t c = 0; c < m; ++c) {
-                if (s.core[r * m + c]) {
-                    s.keep[r * m + c] = 1;
-                    ++got;
-                }
-            }
-            for (size_t rk = 0; rk < m && got < quota; ++rk) {
-                const size_t c = s.inv_row[r * m + rk];
-                if (s.usb[r * m + c] && !s.core[r * m + c]) {
-                    s.keep[r * m + c] = 1;
-                    ++got;
-                }
-            }
-        }
-    } else {
-        for (size_t c = 0; c < m; ++c) {
-            const size_t quota = std::min<size_t>(s.col_us[c], nb);
-            size_t got = 0;
-            for (size_t r = 0; r < m; ++r) {
-                if (s.core[r * m + c]) {
-                    s.keep[r * m + c] = 1;
-                    ++got;
-                }
-            }
-            for (size_t rk = 0; rk < m && got < quota; ++rk) {
-                const size_t r = s.inv_col[c * m + rk];
-                if (s.usb[r * m + c] && !s.core[r * m + c]) {
-                    s.keep[r * m + c] = 1;
-                    ++got;
-                }
-            }
-        }
-    }
-
-    transposable = true;
-    for (size_t g = 0; g < m && transposable; ++g) {
-        size_t cross = 0;
-        for (size_t i = 0; i < m; ++i)
-            cross += use_row ? s.keep[i * m + g] : s.keep[g * m + i];
-        transposable = cross <= nb;
-    }
-    augments = steals;
-    return use_row ? SparsityDim::Reduction : SparsityDim::Independent;
 }
 
 /** Pack one row tile of 0/1 bytes into the mask (len <= 64). */
@@ -799,8 +542,20 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
     // Blocks are independent and write index-addressed slots, so the
     // density scan parallelizes; the largest-remainder promotion pass
     // inside fitCounts is a global ordered pass and stays serial.
-    const std::vector<FitUnit> units =
-        tbsFitUnits(us, m, block_rows, block_cols);
+    std::vector<FitUnit> units(block_rows * block_cols);
+    util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
+        for (size_t br = begin; br < end; ++br) {
+            for (size_t bc = 0; bc < block_cols; ++bc) {
+                size_t nnz = 0;
+                for (size_t r = 0; r < m; ++r)
+                    for (size_t c0 = 0; c0 < m; c0 += 64)
+                        nnz += us.rangeNnz(br * m + r, bc * m + c0,
+                                           std::min<size_t>(64, m - c0));
+                units[br * block_cols + bc] =
+                    {static_cast<double>(nnz), m};
+            }
+        }
+    });
     const std::vector<uint8_t> n = fitCounts(units, candidates, target);
 
     // Step 3: per block, choose the pruning direction by L1 distance to
@@ -827,80 +582,6 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
     });
     // One word-wise XOR/popcount pass; maskSimilarity consumes this.
     out.usHamming = out.mask.hamming(us);
-    return out;
-}
-
-TbsResult
-tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats)
-{
-    checkBlockDivisibility(scores, m);
-    // Steps 1 and 2 are shared with the greedy strategy verbatim: same
-    // unstructured mask, same per-block N balance. Only the step-3
-    // mapper differs.
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
-    const size_t block_rows = scores.rows() / m;
-    const size_t block_cols = scores.cols() / m;
-    const std::vector<FitUnit> units =
-        tbsFitUnits(us, m, block_rows, block_cols);
-    const std::vector<uint8_t> n = fitCounts(units, candidates, target);
-
-    TbsResult out;
-    out.mask = Mask(scores.rows(), scores.cols());
-    out.meta.m = m;
-    out.meta.blockRows = block_rows;
-    out.meta.blockCols = block_cols;
-    out.meta.blocks.resize(block_rows * block_cols);
-
-    // Stats land in per-block-row slots and reduce serially below, so
-    // the totals are bit-identical at any thread count, like the mask.
-    std::vector<size_t> improved(block_rows, 0);
-    std::vector<size_t> transposable(block_rows, 0);
-    std::vector<size_t> augments(block_rows, 0);
-
-    util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
-        OptScratch s;
-        for (size_t br = begin; br < end; ++br) {
-            for (size_t bc = 0; bc < block_cols; ++bc) {
-                bool imp = false;
-                bool trans = false;
-                size_t aug = 0;
-                const uint8_t nb = n[br * block_cols + bc];
-                const SparsityDim dim = optimalBlockSolve(
-                    scores, us, br, bc, m, nb, s, imp, trans, aug);
-                if (m <= 64) {
-                    for (size_t r = 0; r < m; ++r) {
-                        uint64_t bits = 0;
-                        for (size_t c = 0; c < m; ++c)
-                            bits |= static_cast<uint64_t>(
-                                        s.keep[r * m + c] != 0)
-                                << c;
-                        out.mask.setRowBits(br * m + r, bc * m, m, bits);
-                    }
-                } else {
-                    for (size_t r = 0; r < m; ++r)
-                        for (size_t c = 0; c < m; ++c)
-                            out.mask.at(br * m + r, bc * m + c) =
-                                s.keep[r * m + c];
-                }
-                out.meta.block(br, bc) = {nb, dim};
-                improved[br] += imp;
-                transposable[br] += trans;
-                augments[br] += aug;
-            }
-        }
-    });
-    out.usHamming = out.mask.hamming(us);
-    if (stats != nullptr) {
-        *stats = {};
-        stats->blocks = block_rows * block_cols;
-        for (size_t br = 0; br < block_rows; ++br) {
-            stats->improvedBlocks += improved[br];
-            stats->transposableBlocks += transposable[br];
-            stats->augmentations += augments[br];
-        }
-    }
     return out;
 }
 

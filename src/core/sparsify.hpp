@@ -12,12 +12,9 @@
  * (and our workload layer) pads shapes to the block grid, exactly as
  * real tensor-core kernels do.
  *
- * These free functions are the low-level generator surface and are
- * kept byte-stable (golden-hash pinned) as documented legacy wrappers.
- * New code should prefer the strategy-aware tryMakeMask entry point in
- * mask_search.hpp, which adds request validation, a pluggable search-
- * strategy registry, and structured errors on top of the same
- * generators.
+ * These generators expect validated inputs; tryMakeMask in
+ * mask_search.hpp validates a request and reports structured errors
+ * before calling them.
  */
 
 #ifndef TBSTC_CORE_SPARSIFY_HPP
@@ -79,52 +76,15 @@ Mask rshMask(const Matrix &scores, double sparsity, size_t m,
  *  3. per block, build the reduction-direction mask (top-N per row) and
  *     the independent-direction mask (top-N per column) and keep the one
  *     with the smaller L1 distance to the unstructured block mask.
+ *
+ * The unstructured mask is a global top-k under the same (score desc,
+ * index asc) order as the per-group top-N, so each group's top-N holds
+ * min(us_g, N) unstructured survivors. Step 3's distance is therefore
+ * N*m + us_nnz - 2*sum_g min(us_g, N), the minimum over every mask
+ * keeping exactly N per group in that direction.
  */
 TbsResult tbsMask(const Matrix &scores, double sparsity, size_t m,
                   std::span<const uint8_t> candidates);
-
-/**
- * Statistics of one TBS mask search. The greedy mapper only fills
- * `blocks`; the optimal solver reports how much of its extra work paid
- * off, which the mask-search bench turns into its quality-vs-cost
- * table.
- */
-struct TbsSearchStats
-{
-    size_t blocks = 0;        ///< M x M blocks examined.
-    /** Blocks whose L1 distance to the US mask beat greedy's choice. */
-    size_t improvedBlocks = 0;
-    /** Blocks whose final mask meets the N cap in *both* directions. */
-    size_t transposableBlocks = 0;
-    /** Augmenting paths that re-routed the doubly-constrained core. */
-    size_t augmentations = 0;
-};
-
-/**
- * TSENOR-style optimal transposable search (second TBS strategy).
- *
- * Steps 1 and 2 are identical to tbsMask (same unstructured mask, same
- * per-block N balance pass). Step 3 replaces the greedy rank-table
- * mapper: per block it solves the top-N selection to L1 optimality
- * against the step-1 unstructured mask, exploiting the <=N slack of
- * the TBS constraint — the optimal block keeps only unstructured-kept
- * elements, min(us_g, N) per group of the declared direction, so its
- * distance is us_nnz - sum_g min(us_g, N), provably <= greedy's
- * N*m + us_nnz - 2*overlap[N] in every block and direction. Inside
- * that optimum, a Hungarian-style augmenting-path b-matching (row caps
- * *and* column caps of N simultaneously) decides which elements form
- * the transposable core, so the kept set stays as close to a both-
- * direction-legal mask as the block permits.
- *
- * Trade-off: the optimal mask never keeps a non-US element, so its nnz
- * can undershoot the target where a group has fewer than N survivors
- * (greedy pads such groups with noise). Scoring is scalar per block —
- * slower than greedy's SIMD rank kernel, which is the price the bench
- * quantifies.
- */
-TbsResult tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
-                         std::span<const uint8_t> candidates,
-                         TbsSearchStats *stats = nullptr);
 
 /**
  * SlideSparse (2N-2):2N mask (arxiv 2603.05232), with m = 2N. Every

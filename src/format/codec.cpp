@@ -116,17 +116,6 @@ tryDecodeBlock(const std::vector<StorageElem> &storage,
     return out;
 }
 
-CodecOutput
-convertToComputation(const std::vector<StorageElem> &storage,
-                     const CodecConfig &cfg)
-{
-    ensure(cfg.m > 0 && cfg.lanes > 0 && cfg.threshold > 0,
-           "invalid CodecConfig");
-    auto out = tryDecodeBlock(storage, cfg);
-    ensure(out.ok(), "codec: rid out of range");
-    return std::move(*out);
-}
-
 uint64_t
 passthroughCycles(size_t nnz, const CodecConfig &cfg)
 {

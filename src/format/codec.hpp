@@ -56,21 +56,10 @@ struct CodecConfig
  * (column-major element order, as DDC stores it) to computation
  * format (row-grouped). See paper Fig. 9(c) for the worked example.
  *
- * Legacy: abort-wrapping convenience around tryDecodeBlock(), which is
- * the primary API (see src/tbstc.hpp). New code should call
- * tryDecodeBlock() and handle the DecodeError.
- *
- * @note panic() on an invalid config or an out-of-range element index.
- */
-CodecOutput convertToComputation(const std::vector<StorageElem> &storage,
-                                 const CodecConfig &cfg);
-
-/**
- * Convert one untrusted independent-dimension block (e.g. straight off
- * a deserialized stream) without aborting: an invalid config or an
- * element whose Rid/Iid falls outside the block geometry yields a
- * structured DecodeError instead of a panic. This is the primary
- * decode entry point.
+ * The block may be untrusted (e.g. straight off a deserialized
+ * stream): an invalid config or an element whose Rid/Iid falls
+ * outside the block geometry yields a structured DecodeError, never
+ * an abort.
  */
 util::Result<CodecOutput, DecodeError>
 tryDecodeBlock(const std::vector<StorageElem> &storage,

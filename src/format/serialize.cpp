@@ -629,17 +629,6 @@ tryDeserializeDdc(std::span<const uint8_t> bytes)
     }
 }
 
-DdcParsed
-deserializeDdc(std::span<const uint8_t> bytes)
-{
-    auto parsed = tryDeserializeDdc(bytes);
-    if (!parsed)
-        fatal("deserializeDdc: {} at byte {}: {}",
-              decodeErrorName(parsed.error().kind),
-              parsed.error().offset, parsed.error().message);
-    return std::move(*parsed);
-}
-
 Result<DdcLayout, DecodeError>
 ddcLayout(std::span<const uint8_t> bytes)
 {

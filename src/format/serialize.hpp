@@ -29,9 +29,8 @@
  * Ingestion is hardened: tryDeserializeDdc() validates every field
  * with checked arithmetic and returns a structured DecodeError instead
  * of throwing, so a corrupted or hostile stream can never crash,
- * over-allocate, or decode to a silently wrong matrix. The throwing
- * deserializeDdc() is a thin wrapper for callers that treat bad input
- * as fatal. Version-1 streams (no integrity fields) are rejected with
+ * over-allocate, or decode to a silently wrong matrix. Version-1
+ * streams (no integrity fields) are rejected with
  * DecodeErrorKind::BadVersion.
  */
 
@@ -107,17 +106,6 @@ std::vector<uint8_t> serializeDdc(const core::Matrix &w,
  */
 util::Result<DdcParsed, DecodeError>
 tryDeserializeDdc(std::span<const uint8_t> bytes);
-
-/**
- * Parse a DDC byte stream produced by serializeDdc().
- *
- * Legacy: abort-wrapping convenience around tryDeserializeDdc(), which
- * is the primary API (see src/tbstc.hpp). New code should call
- * tryDeserializeDdc() and handle the DecodeError.
- *
- * @note fatal() (throws util::FatalError) on malformed input.
- */
-DdcParsed deserializeDdc(std::span<const uint8_t> bytes);
 
 /**
  * Compute the section map of @p bytes from its header. Validates

@@ -53,6 +53,16 @@ numLimit(const JsonValue &v, std::string_view name, double &out)
 
 } // namespace
 
+ServeLimits
+normalizeLimits(ServeLimits l)
+{
+    if (l.queueCapacity == 0)
+        l.queueCapacity = 1;
+    if (l.ratePerSec > 0.0 && l.rateBurst < 1.0)
+        l.rateBurst = 1.0;
+    return l;
+}
+
 util::Result<ServeLimits, std::string>
 parseLimits(std::string_view json, const ServeLimits &base)
 {
@@ -72,7 +82,7 @@ parseLimits(std::string_view json, const ServeLimits &base)
     if (auto r = u64Limit(v, "queue_capacity", u); !r)
         return util::unexpected(r.error());
     else if (*r)
-        l.queueCapacity = static_cast<size_t>(u > 0 ? u : 1);
+        l.queueCapacity = static_cast<size_t>(u);
     if (auto r = u64Limit(v, "retry_after_ms", l.retryAfterMs); !r)
         return util::unexpected(r.error());
     if (auto r = u64Limit(v, "idle_timeout_ms", l.idleTimeoutMs); !r)
@@ -94,9 +104,7 @@ parseLimits(std::string_view json, const ServeLimits &base)
     else if (*r)
         l.maxInflight = static_cast<size_t>(u);
 
-    if (l.ratePerSec > 0.0 && l.rateBurst < 1.0)
-        l.rateBurst = 1.0;
-    return l;
+    return normalizeLimits(l);
 }
 
 std::string

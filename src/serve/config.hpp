@@ -33,7 +33,7 @@ namespace tbstc::serve {
 /**
  * Every hot-reloadable limit, with serving-sane defaults. A value of 0
  * disables the corresponding limit (except queueCapacity, which is
- * clamped to at least 1).
+ * clamped to at least 1; see normalizeLimits).
  */
 struct ServeLimits
 {
@@ -73,6 +73,15 @@ struct ServeLimits
     /** Per-connection cap on queued-but-unanswered requests. 0 = off. */
     size_t maxInflight = 0;
 };
+
+/**
+ * Clamp @p l to what the daemon enforces: queueCapacity >= 1, and
+ * rateBurst >= 1 while ratePerSec > 0 (a smaller bucket could never
+ * hold the one token a request costs). parseLimits applies it, and so
+ * does the server to every limits record it adopts (at construction
+ * and in reloadLimits), however the record was built.
+ */
+ServeLimits normalizeLimits(ServeLimits l);
 
 /**
  * Parse a limits document (the `--config` file / stats "limits"

@@ -113,7 +113,6 @@ executeRun(const RunSpec &spec)
         req.sparsity = spec.sparsity;
         req.seed = spec.seed;
         req.int8Weights = spec.int8Weights;
-        req.maskStrategy = spec.strategy;
         req.configOverride = override;
         return accel::runLayer(spec.kind, req);
     }
@@ -125,8 +124,7 @@ executeRun(const RunSpec &spec)
     if (spec.full) {
         // Full inference pass: weight GEMMs + dense attention GEMMs.
         return accel::runInference(spec.kind, *model, spec.sparsity,
-                                   spec.seq, spec.int8Weights, spec.seed,
-                                   spec.strategy);
+                                   spec.seq, spec.int8Weights, spec.seed);
     }
     if (override) {
         sim::RunStats total;
@@ -137,14 +135,13 @@ executeRun(const RunSpec &spec)
             req.sparsity = spec.sparsity;
             req.seed = spec.seed;
             req.int8Weights = spec.int8Weights;
-            req.maskStrategy = spec.strategy;
             req.configOverride = override;
             total.accumulate(accel::runLayer(spec.kind, req));
         }
         return total;
     }
     return accel::runModel(spec.kind, *model, spec.sparsity, spec.seq,
-                           spec.int8Weights, spec.seed, spec.strategy);
+                           spec.int8Weights, spec.seed);
 }
 
 SparsifyResult
@@ -160,9 +157,7 @@ executeSparsify(const SparsifySpec &spec)
     const auto w =
         workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);
     const auto scores = core::magnitudeScores(w);
-    // The strategy-aware search; greedy (the empty default) delegates
-    // to core::tbsMask verbatim, so strategy-less requests keep their
-    // historical DDC bytes and CRCs.
+    // The validated search: "" and "greedy" both run core::tbsMask.
     core::MaskRequest req;
     req.pattern = core::Pattern::TBS;
     req.strategy = spec.strategy;

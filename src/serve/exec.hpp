@@ -42,9 +42,9 @@ struct RunSpec
     std::optional<double> bw;     ///< Off-chip bandwidth override.
 
     /**
-     * TBS mask-search strategy (registry name). Empty = default
-     * greedy, which keeps the wire bytes and responses of strategy-
-     * less requests unchanged.
+     * TBS mask-search strategy: "" or "greedy" (the same search).
+     * Validated, then ignored; an empty name keeps the wire bytes of
+     * strategy-less requests unchanged.
      */
     std::string strategy;
 };
@@ -56,7 +56,7 @@ struct SparsifySpec
     double sparsity = 0.75;
     uint64_t seed = 42;
     uint64_t m = 8;
-    std::string strategy; ///< Mask-search strategy; empty = greedy.
+    std::string strategy; ///< "" or "greedy" (core::isMaskStrategy).
 };
 
 /** Result of a sparsify execution (summary; values stay server-side). */

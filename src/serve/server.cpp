@@ -80,13 +80,12 @@ Conn::tryTakeToken(uint64_t &retryMs)
     const double rate = limits_->ratePerSec;
     if (rate <= 0.0)
         return true;
-    const double burst = std::max(limits_->rateBurst, 1.0);
     const std::lock_guard lk(rateMutex_);
     const auto now = std::chrono::steady_clock::now();
     const double elapsed =
         std::chrono::duration<double>(now - lastRefill_).count();
     lastRefill_ = now;
-    tokens_ = std::min(burst, tokens_ + elapsed * rate);
+    tokens_ = std::min(limits_->rateBurst, tokens_ + elapsed * rate);
     if (tokens_ >= 1.0) {
         tokens_ -= 1.0;
         return true;
@@ -101,15 +100,15 @@ Conn::refundToken()
 {
     if (limits_->ratePerSec <= 0.0)
         return;
-    const double burst = std::max(limits_->rateBurst, 1.0);
     const std::lock_guard lk(rateMutex_);
-    tokens_ = std::min(burst, tokens_ + 1.0);
+    tokens_ = std::min(limits_->rateBurst, tokens_ + 1.0);
 }
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
-      limits_(std::make_shared<const ServeLimits>(opts_.limits)),
-      queue_(opts_.limits.queueCapacity)
+      limits_(std::make_shared<const ServeLimits>(
+          normalizeLimits(opts_.limits))),
+      queue_(limits_->queueCapacity)
 {
 }
 
@@ -562,7 +561,8 @@ Server::counters() const
 void
 Server::reloadLimits(const ServeLimits &limits)
 {
-    auto next = std::make_shared<const ServeLimits>(limits);
+    const ServeLimits adopted = normalizeLimits(limits);
+    auto next = std::make_shared<const ServeLimits>(adopted);
     {
         const std::lock_guard lk(limitsMutex_);
         limits_ = std::move(next);
@@ -570,7 +570,7 @@ Server::reloadLimits(const ServeLimits &limits)
     // The queue is shared (not per-connection), so its threshold
     // changes immediately; in-flight items above a shrunken capacity
     // still drain normally.
-    queue_.setCapacity(limits.queueCapacity);
+    queue_.setCapacity(adopted.queueCapacity);
     reloads_.fetch_add(1, std::memory_order_relaxed);
 }
 

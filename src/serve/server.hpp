@@ -90,6 +90,7 @@ struct ServerOptions
     /**
      * Initial operational limits (queue capacity, deadlines, rates,
      * caps). Hot-reloadable at runtime via Server::reloadLimits().
+     * The server adopts normalizeLimits() of it, as it does on reload.
      */
     ServeLimits limits;
 

@@ -13,17 +13,11 @@
  * `try*` surface — it never throws or aborts on bad input and carries
  * a structured error describing exactly what went wrong:
  *
- *   - core::tryMakeMask()          strategy-aware mask search
+ *   - core::tryMakeMask()          validated mask search
  *   - format::tryDeserializeDdc()  parse an untrusted DDC byte stream
  *   - format::tryDecodeBlock()     codec-convert an untrusted block
  *   - format::ddcLayout()          locate sections in a DDC stream
  *   - util::FlagSet::parse()       typed command-line parsing
- *
- * The abort-wrapping variants (format::deserializeDdc(),
- * format::convertToComputation()) are **legacy** conveniences for
- * callers that treat bad input as fatal; they throw util::FatalError /
- * util::PanicError on the same inputs the try* functions report
- * structurally. New code should prefer the try* surface.
  *
  * Infallible modelling entry points (accel::runLayer(),
  * sim::simulateLayer(), core::tbsMask(), ...) validate their

@@ -31,10 +31,10 @@ struct ProfileSpec
     size_t m = 8;
 
     /**
-     * TBS mask-search strategy (core/mask_search.hpp registry name);
-     * empty = the default ("greedy"). A determining input of the
-     * profile: it feeds the cache key, so a cached greedy profile can
-     * never answer an optimal-strategy request.
+     * TBS mask-search strategy: "" or "greedy" (core::isMaskStrategy),
+     * both paper Algorithm 1; anything else is a fatal error. It feeds
+     * the cache key as spelled, so "" and "greedy" key separately and
+     * rebuild the same bits.
      */
     std::string maskStrategy;
 

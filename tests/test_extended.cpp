@@ -121,11 +121,11 @@ TEST(CodecEstimate, MatchesQueueSimulation)
                 storage.push_back(
                     {1.0f, static_cast<uint8_t>(rows[k]), col});
         }
-        const auto out =
-            format::convertToComputation(storage, {8, 2, 2});
+        const auto out = format::tryDecodeBlock(storage, {8, 2, 2});
+        ASSERT_TRUE(out.ok());
         const uint64_t estimate = (storage.size() + 1) / 2 + 2;
-        EXPECT_LE(out.cycles, estimate + 3);
-        EXPECT_GE(out.cycles + 4, estimate);
+        EXPECT_LE(out->cycles, estimate + 3);
+        EXPECT_GE(out->cycles + 4, estimate);
     }
 }
 

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "format/codec.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -29,11 +28,20 @@ columnMajorBlock(const std::vector<std::vector<uint8_t>> &cols_rows)
     return out;
 }
 
+/** Decode a block the test built valid; a DecodeError fails the test. */
+CodecOutput
+decodeValid(const std::vector<StorageElem> &storage, const CodecConfig &cfg)
+{
+    auto out = tryDecodeBlock(storage, cfg);
+    EXPECT_TRUE(out.ok()) << (out.ok() ? "" : out.error().message);
+    return out.ok() ? std::move(*out) : CodecOutput{};
+}
+
 TEST(Codec, PreservesEveryElement)
 {
     // Paper Fig. 9(b)'s block: 4 columns, each with 2 kept elements.
     const auto storage = columnMajorBlock({{0, 2}, {1, 2}, {0, 3}, {1, 3}});
-    const CodecOutput out = convertToComputation(storage, CodecConfig{4, 2, 2});
+    const CodecOutput out = decodeValid(storage, CodecConfig{4, 2, 2});
     ASSERT_EQ(out.values.size(), storage.size());
 
     std::multiset<float> in_vals;
@@ -61,7 +69,7 @@ TEST(Codec, GroupsShareRowInSteadyState)
     }
     const auto storage = columnMajorBlock(cols);
     const CodecConfig cfg{8, 2, 2};
-    const CodecOutput out = convertToComputation(storage, cfg);
+    const CodecOutput out = decodeValid(storage, cfg);
     ASSERT_EQ(out.values.size(), 32u);
 
     // All but the drain tail must be same-row pairs; the tail may mix.
@@ -90,7 +98,7 @@ TEST(Codec, CycleCostNearHalfNnz)
         }
         const auto storage = columnMajorBlock(cols);
         const CodecOutput out =
-            convertToComputation(storage, CodecConfig{8, 2, 2});
+            decodeValid(storage, CodecConfig{8, 2, 2});
         EXPECT_GE(out.cycles, (nnz + 1) / 2);
         EXPECT_LE(out.cycles, nnz / 2 + 10);
     }
@@ -98,7 +106,7 @@ TEST(Codec, CycleCostNearHalfNnz)
 
 TEST(Codec, EmptyInputZeroCycles)
 {
-    const CodecOutput out = convertToComputation({}, CodecConfig{8, 2, 2});
+    const CodecOutput out = decodeValid({}, CodecConfig{8, 2, 2});
     EXPECT_EQ(out.cycles, 0u);
     EXPECT_TRUE(out.values.empty());
 }
@@ -106,8 +114,7 @@ TEST(Codec, EmptyInputZeroCycles)
 TEST(Codec, SingleElementDrains)
 {
     const std::vector<StorageElem> storage{{42.0f, 3, 0}};
-    const CodecOutput out =
-        convertToComputation(storage, CodecConfig{8, 2, 2});
+    const CodecOutput out = decodeValid(storage, CodecConfig{8, 2, 2});
     ASSERT_EQ(out.values.size(), 1u);
     EXPECT_EQ(out.values[0], 42.0f);
     EXPECT_EQ(out.rids[0], 3);
@@ -116,9 +123,14 @@ TEST(Codec, SingleElementDrains)
 
 TEST(Codec, RejectsOutOfRangeRid)
 {
-    const std::vector<StorageElem> storage{{1.0f, 9, 0}};
-    EXPECT_THROW(convertToComputation(storage, CodecConfig{8, 2, 2}),
-                 tbstc::util::PanicError);
+    // A lone element outside the block, on either axis.
+    for (const StorageElem e : {StorageElem{1.0f, 9, 0},
+                                StorageElem{1.0f, 0, 8}}) {
+        const auto r = tryDecodeBlock({e}, CodecConfig{8, 2, 2});
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().kind, DecodeErrorKind::InfoFieldRange);
+        EXPECT_EQ(r.error().offset, 0u);
+    }
 }
 
 TEST(Codec, TryDecodeBlockReportsStructuredErrors)
@@ -134,19 +146,6 @@ TEST(Codec, TryDecodeBlockReportsStructuredErrors)
     const auto cfg = tryDecodeBlock({}, CodecConfig{0, 2, 2});
     ASSERT_FALSE(cfg.ok());
     EXPECT_EQ(cfg.error().kind, DecodeErrorKind::GeometryOverflow);
-}
-
-TEST(Codec, TryDecodeBlockMatchesThrowingVariant)
-{
-    const auto storage = columnMajorBlock({{0, 2}, {1, 2}, {0, 3}, {1, 3}});
-    const CodecConfig cfg{4, 2, 2};
-    const auto tried = tryDecodeBlock(storage, cfg);
-    ASSERT_TRUE(tried.ok());
-    const CodecOutput direct = convertToComputation(storage, cfg);
-    EXPECT_EQ(tried->values, direct.values);
-    EXPECT_EQ(tried->rids, direct.rids);
-    EXPECT_EQ(tried->iids, direct.iids);
-    EXPECT_EQ(tried->cycles, direct.cycles);
 }
 
 TEST(Codec, PassthroughCycles)
@@ -165,8 +164,8 @@ TEST(Codec, WiderLanesCutCycles)
     for (auto &col : cols)
         col = {0, 1, 2, 3};
     const auto storage = columnMajorBlock(cols);
-    const auto narrow = convertToComputation(storage, CodecConfig{8, 2, 2});
-    const auto wide = convertToComputation(storage, CodecConfig{8, 4, 4});
+    const auto narrow = decodeValid(storage, CodecConfig{8, 2, 2});
+    const auto wide = decodeValid(storage, CodecConfig{8, 4, 4});
     EXPECT_LT(wide.cycles, narrow.cycles);
 }
 

@@ -65,7 +65,10 @@ struct Stream
         tbs = core::tbsMask(core::magnitudeScores(w), l.sparsity, 8,
                             core::defaultCandidates(8));
         bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
-        parsed = format::deserializeDdc(bytes);
+        auto decoded = format::tryDeserializeDdc(bytes);
+        if (!decoded.ok())
+            util::panic("fixture stream does not decode");
+        parsed = std::move(*decoded);
         auto lay = format::ddcLayout(bytes);
         if (!lay.ok())
             util::panic("fixture stream has no layout");
@@ -402,7 +405,6 @@ TEST(FaultGolden, V1StreamRejectedWithVersionError)
     const auto r = format::tryDeserializeDdc(v1);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.error().message.find("version 1"), std::string::npos);
-    EXPECT_THROW(format::deserializeDdc(v1), util::FatalError);
 }
 
 TEST(FaultGolden, EmptyAndTinyStreams)

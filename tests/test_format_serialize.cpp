@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
@@ -20,6 +22,7 @@ namespace {
 
 using namespace tbstc;
 using core::Matrix;
+using format::DecodeErrorKind;
 
 struct Fixture
 {
@@ -45,11 +48,30 @@ fp16Rounded(const Matrix &m)
     return out;
 }
 
+/** Decode a stream the test serialized itself; errors fail the test. */
+format::DdcParsed
+decodeValid(std::span<const uint8_t> bytes)
+{
+    auto parsed = format::tryDeserializeDdc(bytes);
+    EXPECT_TRUE(parsed.ok()) << (parsed.ok() ? "" : parsed.error().message);
+    return parsed.ok() ? std::move(*parsed) : format::DdcParsed{};
+}
+
+/** The kind @p bytes is rejected with; nullopt when it decodes. */
+std::optional<DecodeErrorKind>
+rejection(std::span<const uint8_t> bytes)
+{
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    if (parsed.ok())
+        return std::nullopt;
+    return parsed.error().kind;
+}
+
 TEST(SerializeDdc, RoundTripMatrix)
 {
     Fixture f(1);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
+    const auto parsed = decodeValid(bytes);
     EXPECT_EQ(parsed.matrix,
               fp16Rounded(core::applyMask(f.w, f.tbs.mask)));
 }
@@ -58,7 +80,7 @@ TEST(SerializeDdc, RoundTripMeta)
 {
     Fixture f(2);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
+    const auto parsed = decodeValid(bytes);
     ASSERT_EQ(parsed.meta.blocks.size(), f.tbs.meta.blocks.size());
     EXPECT_EQ(parsed.meta.m, f.tbs.meta.m);
     for (size_t b = 0; b < parsed.meta.blocks.size(); ++b) {
@@ -72,7 +94,7 @@ TEST(SerializeDdc, RoundTripMask)
     // Synthetic weights are never exactly zero, so the mask survives.
     Fixture f(3, 64, 64, 0.75);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
+    const auto parsed = decodeValid(bytes);
     EXPECT_EQ(parsed.mask, f.tbs.mask);
 }
 
@@ -81,7 +103,7 @@ TEST(SerializeDdc, LargeMatrixCrossesGroups)
     // 1024 blocks > the 63-block offset group: exercises group bases.
     Fixture f(4, 256, 256, 0.625);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
+    const auto parsed = decodeValid(bytes);
     EXPECT_EQ(parsed.matrix,
               fp16Rounded(core::applyMask(f.w, f.tbs.mask)));
     EXPECT_EQ(parsed.mask, f.tbs.mask);
@@ -143,15 +165,16 @@ TEST(DeserializeDdc, RejectsCorruption)
 {
     Fixture f(7);
     auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
+    EXPECT_EQ(rejection(bytes), std::nullopt);
 
     // Bad magic.
     auto bad_magic = bytes;
     bad_magic[0] ^= 0xff;
-    EXPECT_THROW(format::deserializeDdc(bad_magic), util::FatalError);
+    EXPECT_EQ(rejection(bad_magic), DecodeErrorKind::BadMagic);
 
     // Truncation.
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + 16);
-    EXPECT_THROW(format::deserializeDdc(truncated), util::FatalError);
+    EXPECT_EQ(rejection(truncated), DecodeErrorKind::Truncated);
 
     // Corrupt an info-table offset: the section CRC catches the raw
     // flip; with the CRC fixed up, the offset chain check trips.
@@ -159,9 +182,9 @@ TEST(DeserializeDdc, RejectsCorruption)
     ASSERT_TRUE(layout.ok());
     auto bad_info = bytes;
     bad_info[layout->infoAt + 2] ^= 0x01; // Second entry's offset bit 0.
-    EXPECT_THROW(format::deserializeDdc(bad_info), util::FatalError);
+    EXPECT_EQ(rejection(bad_info), DecodeErrorKind::ChecksumMismatch);
     ASSERT_TRUE(format::ddcFixupCrcs(bad_info));
-    EXPECT_THROW(format::deserializeDdc(bad_info), util::FatalError);
+    EXPECT_EQ(rejection(bad_info), DecodeErrorKind::OffsetInconsistent);
 }
 
 TEST(DeserializeDdc, TryVariantNeverThrows)
@@ -189,8 +212,8 @@ TEST(SerializeDdc, NegativeZeroSurvives)
     w.at(0, 0) = -0.0f;
     const auto res = core::tbsMask(core::magnitudeScores(w), 0.0, 8,
                                    core::defaultCandidates(8));
-    const auto parsed = format::deserializeDdc(
-        format::serializeDdc(w, res.mask, res.meta));
+    const auto parsed =
+        decodeValid(format::serializeDdc(w, res.mask, res.meta));
     EXPECT_EQ(parsed.mask.at(0, 0), 1);
     EXPECT_TRUE(std::signbit(parsed.matrix.at(0, 0)));
 }

@@ -87,13 +87,13 @@ TEST(Integration, CodecOutputComputesCorrectBlockProduct)
                                    static_cast<uint8_t>(r),
                                    static_cast<uint8_t>(c)});
 
-    const format::CodecOutput out =
-        format::convertToComputation(storage, {m, 2, 2});
+    const auto out = format::tryDecodeBlock(storage, {m, 2, 2});
+    ASSERT_TRUE(out.ok());
 
     // Reassemble a matrix from the converted stream and compare.
     Matrix rebuilt(m, m);
-    for (size_t i = 0; i < out.values.size(); ++i)
-        rebuilt.at(out.rids[i], out.iids[i]) = out.values[i];
+    for (size_t i = 0; i < out->values.size(); ++i)
+        rebuilt.at(out->rids[i], out->iids[i]) = out->values[i];
     EXPECT_LT(core::maxAbsDiff(rebuilt, a), 1e-6);
 }
 

@@ -26,6 +26,7 @@
 #include "sim/energy.hpp"
 #include "sim/pipeline.hpp"
 #include "util/contentstore.hpp"
+#include "util/logging.hpp"
 #include "workload/profile_builder.hpp"
 
 namespace {
@@ -184,25 +185,22 @@ TEST(ProfileCache, KeySeparatesMaskStrategies)
     store.setDiskDir("");
     store.clearMemory();
 
-    // The mask-search strategy is a determining input: a spec naming
-    // `optimal` must never be served a profile the greedy default
-    // built (their masks differ, docs/mask_search.md).
+    // The mask-search strategy is hashed as spelled: the spelled-out
+    // default keys separately from the empty string but must rebuild
+    // to the same bits — a conservative split, never a false hit.
     const auto before = store.stats();
     const LayerProfile base = buildLayerProfile(testSpec());
-    auto opt = testSpec();
-    opt.maskStrategy = "optimal";
-    const LayerProfile optimal = buildLayerProfile(opt);
-    EXPECT_FALSE(sameProfile(base, optimal));
-    EXPECT_EQ(store.stats().misses, before.misses + 2);
-
-    // The spelled-out default keys separately from the empty string
-    // (the key hashes the raw name) but must rebuild to the same
-    // bits — a conservative split, never a false hit.
+    EXPECT_EQ(store.stats().misses, before.misses + 1);
     auto named = testSpec();
     named.maskStrategy = "greedy";
     const LayerProfile greedy = buildLayerProfile(named);
-    EXPECT_EQ(store.stats().misses, before.misses + 3);
+    EXPECT_EQ(store.stats().misses, before.misses + 2);
     EXPECT_TRUE(sameProfile(base, greedy));
+
+    // A name outside the vocabulary is an error, never a profile.
+    auto unknown = testSpec();
+    unknown.maskStrategy = "optimal";
+    EXPECT_THROW(buildLayerProfile(unknown), util::FatalError);
 }
 
 TEST(SimCache, CachedStatsBitIdentical)

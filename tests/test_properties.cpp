@@ -41,13 +41,14 @@ TEST_P(SerializeSweep, RoundTripAcrossGrid)
     const auto tbs = core::tbsMask(core::magnitudeScores(w), sparsity,
                                    8, core::defaultCandidates(8));
     const auto bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    ASSERT_TRUE(parsed.ok());
 
     core::Matrix expect = core::applyMask(w, tbs.mask);
     for (auto &v : expect.data())
         v = util::fp16Round(v);
-    EXPECT_EQ(parsed.matrix, expect);
-    EXPECT_EQ(parsed.mask, tbs.mask);
+    EXPECT_EQ(parsed->matrix, expect);
+    EXPECT_EQ(parsed->mask, tbs.mask);
 }
 
 std::string
@@ -184,7 +185,9 @@ TEST_P(CodecFuzz, ConversionIsLossless)
             storage.push_back(
                 {v++, static_cast<uint8_t>(rows[k]), col});
     }
-    const auto out = format::convertToComputation(storage, {8, 2, 2});
+    const auto res = format::tryDecodeBlock(storage, {8, 2, 2});
+    ASSERT_TRUE(res.ok());
+    const format::CodecOutput &out = *res;
     ASSERT_EQ(out.values.size(), storage.size());
     std::multiset<std::tuple<float, uint8_t, uint8_t>> in_set;
     std::multiset<std::tuple<float, uint8_t, uint8_t>> out_set;

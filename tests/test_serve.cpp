@@ -188,10 +188,10 @@ TEST(ServeProtocol, MaskStrategyRoundTripsAndValidates)
     req.id = 11;
     req.op = Op::Run;
     req.run.layer = "64x64x1";
-    req.run.strategy = "optimal";
+    req.run.strategy = "greedy";
     const auto parsed = parseRequest(serializeRequest(req));
     ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed->run.strategy, "optimal");
+    EXPECT_EQ(parsed->run.strategy, "greedy");
 
     Request sp;
     sp.id = 12;
@@ -468,6 +468,13 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     EXPECT_FALSE(resp.get("ok").asBool(true));
     EXPECT_EQ(resp.get("kind").asString(), "bad_request");
     EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 11.0);
+    ASSERT_TRUE(client.sendRaw(
+        R"({"id": 12, "op": "run", "accel": "tbstc",
+            "layer": "64x64x1", "strategy": "optimal"})"));
+    resp = client.recv();
+    EXPECT_FALSE(resp.get("ok").asBool(true));
+    EXPECT_EQ(resp.get("kind").asString(), "bad_request");
+    EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 12.0);
 
     Request again;
     again.id = 10;
@@ -478,7 +485,7 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     server.beginShutdown();
     server.wait();
     const ServerCounters c = server.counters();
-    EXPECT_EQ(c.badRequests, 2u);
+    EXPECT_EQ(c.badRequests, 3u);
     EXPECT_EQ(c.pings, 2u);
 }
 

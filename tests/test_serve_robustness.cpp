@@ -575,4 +575,41 @@ TEST(ServeConfig, StatsResponseReportsTheLiveLimits)
     server.wait();
 }
 
+TEST(ServeConfig, StartAndReloadLimitsAreNormalized)
+{
+    // Limits built in code (as the CLI flags build them) get the same
+    // clamps a --config file does: queue >= 1, burst >= 1 while the
+    // rate is on.
+    ServerOptions opts;
+    opts.limits.queueCapacity = 0;
+    opts.limits.ratePerSec = 5.0;
+    opts.limits.rateBurst = 0.0;
+    Server server(opts);
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+
+    // A zero-token bucket would answer rate_limited to any request
+    // arriving within 1/rate = 200 ms of connecting.
+    const int fd = mustConnect(*started);
+    const JsonValue resp = roundTrip(fd, statsRequest(1));
+    ASSERT_TRUE(resp.get("ok").asBool(false))
+        << resp.get("kind").asString();
+    const JsonValue &limits = resp.get("result").get("limits");
+    EXPECT_DOUBLE_EQ(limits.get("queue_capacity").asNumber(), 1.0);
+    EXPECT_DOUBLE_EQ(limits.get("rate_per_sec").asNumber(), 5.0);
+    EXPECT_DOUBLE_EQ(limits.get("rate_burst").asNumber(), 1.0);
+    ::close(fd);
+
+    ServeLimits next = opts.limits;
+    next.ratePerSec = 2.0;
+    server.reloadLimits(next);
+    const ServeLimits live = server.currentLimits();
+    EXPECT_EQ(live.queueCapacity, 1u);
+    EXPECT_DOUBLE_EQ(live.ratePerSec, 2.0);
+    EXPECT_DOUBLE_EQ(live.rateBurst, 1.0);
+
+    server.beginShutdown();
+    server.wait();
+}
+
 } // namespace

@@ -108,7 +108,6 @@ struct SimOpts
     std::string model;
     std::string layer;
     double sparsity = 0.5;
-    std::string maskStrategy;
     uint64_t seq = 128;
     uint64_t seed = 42;
     double bw = 0.0;
@@ -133,9 +132,6 @@ struct SimOpts
                     "simulate one GEMM layer instead of a model")
             .option("sparsity", &sparsity, "S",
                     "weight sparsity degree (default 0.5)")
-            .option("mask-strategy", &maskStrategy, "NAME",
-                    "TBS mask-search strategy: greedy optimal "
-                    "(default greedy)")
             .option("seq", &seq, "N",
                     "sequence length for transformers (default 128)")
             .option("bw", &bw, "GB/s", "override off-chip bandwidth")
@@ -255,13 +251,10 @@ runOne(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
     spec.seed = opts.seed;
     spec.int8Weights = opts.int8;
     spec.full = opts.full;
-    spec.strategy = opts.maskStrategy;
     if (bw_set)
         spec.bw = opts.bw;
     // Validate names here so bad input keeps its exit-2 diagnostic
     // instead of surfacing as a caught exception (exit 1).
-    if (!core::isMaskStrategy(spec.strategy))
-        fail("unknown mask strategy '" + spec.strategy + "'");
     if (spec.layer.empty() && spec.model.empty())
         fail("need --model or --layer");
     if (!spec.model.empty() && !serve::tryParseModel(spec.model))
@@ -345,7 +338,6 @@ cmdFormats(int argc, char **argv)
     double sparsity = 0.75;
     uint64_t seed = 42;
     std::string dump;
-    std::string strategy;
     util::FlagSet flags(
         "formats",
         "Storage-format study: bytes, redundancy, bandwidth.");
@@ -355,14 +347,9 @@ cmdFormats(int argc, char **argv)
         .option("sparsity", &sparsity, "S",
                 "weight sparsity degree (default 0.75)")
         .option("seed", &seed, "N", "weight-synthesis seed (default 42)")
-        .option("mask-strategy", &strategy, "NAME",
-                "TBS mask-search strategy: greedy optimal "
-                "(default greedy)")
         .option("dump", &dump, "FILE", "write the DDC byte stream");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (!core::isMaskStrategy(strategy))
-        fail("unknown mask strategy '" + strategy + "'");
 
     const auto shape = !layer.empty()
         ? parseLayer(layer)
@@ -372,7 +359,6 @@ cmdFormats(int argc, char **argv)
     const auto scores = core::magnitudeScores(w);
     core::MaskRequest mreq;
     mreq.pattern = core::Pattern::TBS;
-    mreq.strategy = strategy;
     mreq.sparsity = sparsity;
     mreq.m = 8;
     const auto searched = core::tryMakeMask(scores, mreq);
