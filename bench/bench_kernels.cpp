@@ -86,6 +86,27 @@ BM_RsvMask(benchmark::State &state)
 BENCHMARK(BM_RsvMask)->Arg(256);
 
 void
+BM_TsMask(benchmark::State &state)
+{
+    const auto scores = benchScores(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core::tsMask(scores, 2, 8));
+    state.SetItemsProcessed(state.iterations() * scores.size());
+}
+BENCHMARK(BM_TsMask)->Arg(256)->Arg(512);
+
+void
+BM_RshMask(benchmark::State &state)
+{
+    const auto scores = benchScores(state.range(0));
+    const auto cand = core::defaultCandidates(8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core::rshMask(scores, 0.75, 8, cand));
+    state.SetItemsProcessed(state.iterations() * scores.size());
+}
+BENCHMARK(BM_RshMask)->Arg(256);
+
+void
 BM_DdcEncode(benchmark::State &state)
 {
     const auto w = workload::synthWeights(
@@ -394,6 +415,23 @@ BM_KernelRank8x8(benchmark::State &state, const kernels::KernelTable *t)
 }
 
 void
+BM_KernelRankTiles8(benchmark::State &state,
+                    const kernels::KernelTable *t)
+{
+    util::Rng rng(27);
+    std::vector<float> v(64 * 1024);
+    for (auto &x : v)
+        x = static_cast<float>(rng.below(4096)) * 0.25f;
+    std::vector<uint8_t> rank(v.size());
+    for (auto _ : state) {
+        t->rankTiles8(v.data(), v.size() / 8, rank.data());
+        benchmark::DoNotOptimize(rank.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * v.size()));
+}
+
+void
 BM_KernelPackIdx(benchmark::State &state, const kernels::KernelTable *t)
 {
     util::Rng rng(29);
@@ -457,6 +495,7 @@ registerKernelBenchmarks()
             {"BM_KernelPopcountXor", &BM_KernelPopcountXor},
             {"BM_KernelBytePopcountAccum", &BM_KernelBytePopcountAccum},
             {"BM_KernelRank8x8", &BM_KernelRank8x8},
+            {"BM_KernelRankTiles8", &BM_KernelRankTiles8},
             {"BM_KernelPackIdx", &BM_KernelPackIdx},
             {"BM_KernelUnpackIdx", &BM_KernelUnpackIdx},
             {"BM_KernelCrc32", &BM_KernelCrc32},

@@ -1,9 +1,10 @@
 #include "sparsify.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
 #include <type_traits>
+#include <utility>
 
 #include "kernels/kernels.hpp"
 #include "util/logging.hpp"
@@ -16,59 +17,176 @@ using util::fatal;
 
 namespace {
 
+// Selection. Every family keeps the top N scores of a group under one
+// strict total order: score descending, then index ascending, scores
+// comparing as floats (-0.0 ties +0.0). usMask finds the global top-k
+// with a histogram threshold; the tile families and Algorithm 1's rank
+// tables rank each element within its group and keep rank < N.
+
 /**
- * Mark the top @p n of @p vals in @p keep (1 = kept). Deterministic
- * tie-break: higher score wins, then lower index — a strict total
- * order, so the top-n set is unique. The selection runs value-only:
- * nth_element over a float scratch copy finds the n-th largest score,
- * everything strictly above it is kept, and the remaining slots go to
- * the lowest-indexed elements tied with it. That reproduces exactly
- * the set the index-permuting formulation selects, without the
- * iota/indirect-comparator overhead. @p scratch is reused across calls
- * so per-tile selection never re-allocates.
+ * Order-preserving map of a score to a uint32 key: a > b as floats iff
+ * key(a) > key(b), and a == b iff the keys are equal (-0.0 maps to the
+ * key of +0.0). NaN scores are outside the contract.
  */
-void
-selectTopN(std::span<const float> vals, size_t n, std::span<uint8_t> keep,
-           std::vector<float> &scratch)
+inline uint32_t
+orderKey(float f)
 {
-    ensure(vals.size() == keep.size(), "selectTopN size mismatch");
-    if (n >= vals.size()) {
-        std::fill(keep.begin(), keep.end(), uint8_t{1});
-        return;
+    uint32_t b = std::bit_cast<uint32_t>(f);
+    if ((b & 0x7fffffffu) == 0)
+        b = 0;
+    return b
+        ^ (static_cast<uint32_t>(static_cast<int32_t>(b) >> 31)
+           | 0x80000000u);
+}
+
+/** The score of a key orderKey produced (its inverse on +0.0). */
+inline float
+keyScore(uint32_t key)
+{
+    return std::bit_cast<float>((key & 0x80000000u) != 0
+                                    ? key & 0x7fffffffu
+                                    : ~key);
+}
+
+/** Radix of the threshold search: 11 + 11 + 10 key bits. */
+constexpr size_t kBuckets = 2048;
+/** Elements per usMask chunk (whole rows; at least one row). */
+constexpr size_t kSelectChunk = size_t{1} << 16;
+
+/**
+ * Walk a key histogram from the top bucket down and return the bucket
+ * holding the @p need-th largest key; @p need becomes that key's rank
+ * (1-based) within the bucket.
+ */
+size_t
+pickBucket(std::span<const size_t> hist, size_t &need)
+{
+    for (size_t b = hist.size(); b-- > 0;) {
+        if (need <= hist[b])
+            return b;
+        need -= hist[b];
     }
-    if (n == 0) {
-        std::fill(keep.begin(), keep.end(), uint8_t{0});
-        return;
-    }
-    if (n + 1 == vals.size()) {
-        // Dense end of the candidate ladder: drop only the worst
-        // element — the minimum, ties resolved to the highest index
-        // (the last element in the total order).
-        size_t worst = 0;
-        for (size_t i = 1; i < vals.size(); ++i)
-            if (vals[i] <= vals[worst])
-                worst = i;
-        std::fill(keep.begin(), keep.end(), uint8_t{1});
-        keep[worst] = 0;
-        return;
-    }
-    scratch.assign(vals.begin(), vals.end());
-    std::nth_element(scratch.begin(), scratch.begin() + (n - 1),
-                     scratch.end(), std::greater<float>());
-    const float threshold = scratch[n - 1];
-    size_t ties = n;
-    for (const float v : vals)
-        ties -= v > threshold;
-    for (size_t i = 0; i < vals.size(); ++i) {
-        // setcc for the common above/below case; scores rarely collide
-        // with the threshold exactly, so the tie branch predicts well.
-        uint8_t k = vals[i] > threshold;
-        if (vals[i] == threshold && ties > 0) {
-            k = 1;
-            --ties;
+    util::panic("pickBucket: rank exceeds the histogram total");
+}
+
+/**
+ * Rank of v[i*stride] within the m-element group v[0], v[stride], ...
+ * under the selection order. Bitwise |/& rather than short-circuit
+ * ||/&&: scores are effectively random, so data-dependent branches
+ * mispredict half the time.
+ */
+inline unsigned
+groupRank(const float *v, size_t stride, size_t m, size_t i)
+{
+    const float x = v[i * stride];
+    unsigned rk = 0;
+    for (size_t j = 0; j < m; ++j)
+        rk += static_cast<unsigned>(v[j * stride] > x)
+            | (static_cast<unsigned>(v[j * stride] == x)
+               & static_cast<unsigned>(j < i));
+    return rk;
+}
+
+/** Eight bytes as a little-endian word (compiles to one load). */
+inline uint64_t
+loadBytes8(const uint8_t *p)
+{
+    uint64_t r = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        r |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return r;
+}
+
+/** Bit i = byte i, for a word whose eight bytes are each 0 or 1. */
+inline uint64_t
+gatherBytes8(uint64_t x)
+{
+    return (x * 0x0102040810204080ull) >> 56;
+}
+
+/**
+ * Keep bits of one 8-wide tile from its ranks: bit i is set iff
+ * rank[i] < n. SWAR over the eight rank bytes: 0x7f + n - rank has its
+ * top bit set iff rank < n, and no byte borrows (rank <= 7, n <= 8).
+ */
+inline uint64_t
+keepBits8(const uint8_t *rank, size_t n)
+{
+    const uint64_t top = (0x7f7f7f7f7f7f7f7full
+                          + std::min<size_t>(n, 8) * 0x0101010101010101ull
+                          - loadBytes8(rank))
+        & 0x8080808080808080ull;
+    return gatherBytes8(top >> 7);
+}
+
+/**
+ * Row-tile selection over rows [begin, end): tile t of row r keeps the
+ * top tile_n(r, t) of its m scores. @p m is a plain size_t or
+ * std::integral_constant<size_t, 8>; 8-wide tiles rank through the
+ * kernel table and pack eight tiles per 64-bit mask word, other widths
+ * rank with groupRank.
+ */
+template <typename MT, typename NFn>
+void
+selectTileRows(const Matrix &scores, MT m, const NFn &tile_n,
+               size_t begin, size_t end, Mask &mask)
+{
+    const size_t cols = scores.cols();
+    if constexpr (!std::is_same_v<MT, size_t>) {
+        static_assert(MT::value == 8);
+        const auto rank_tiles = kernels::active().rankTiles8;
+        std::vector<uint8_t> rank(cols);
+        for (size_t r = begin; r < end; ++r) {
+            rank_tiles(scores.row(r).data(), cols / 8, rank.data());
+            for (size_t c0 = 0; c0 < cols; c0 += 64) {
+                const size_t len = std::min<size_t>(64, cols - c0);
+                uint64_t bits = 0;
+                for (size_t i = 0; i < len; i += 8)
+                    bits |= keepBits8(&rank[c0 + i],
+                                      tile_n(r, (c0 + i) / 8))
+                        << i;
+                mask.setRowBits(r, c0, len, bits);
+            }
         }
-        keep[i] = k;
+    } else {
+        for (size_t r = begin; r < end; ++r) {
+            const float *row = scores.row(r).data();
+            for (size_t t = 0; t < cols; t += m) {
+                const size_t n = tile_n(r, t / m);
+                for (size_t c0 = 0; c0 < m; c0 += 64) {
+                    const size_t len = std::min<size_t>(64, m - c0);
+                    uint64_t bits = n >= m ? ~uint64_t{0} : 0;
+                    if (n > 0 && n < m)
+                        for (size_t i = 0; i < len; ++i)
+                            bits |= static_cast<uint64_t>(
+                                        groupRank(row + t, 1, m, c0 + i)
+                                        < n)
+                                << i;
+                    mask.setRowBits(r, t + c0, len, bits);
+                }
+            }
+        }
     }
+}
+
+/**
+ * Materialize a row-tile mask: tile t of row r keeps its top
+ * tile_n(r, t) scores. Rows own whole mask words, so row chunks write
+ * disjoint words and the result is the same at any thread count.
+ */
+template <typename NFn>
+Mask
+selectTiles(const Matrix &scores, size_t m, const NFn &tile_n)
+{
+    Mask mask(scores.rows(), scores.cols());
+    util::parallelFor(scores.rows(), 0, [&](size_t begin, size_t end) {
+        if (m == 8)
+            selectTileRows(scores, std::integral_constant<size_t, 8>{},
+                           tile_n, begin, end, mask);
+        else
+            selectTileRows(scores, m, tile_n, begin, end, mask);
+    });
+    return mask;
 }
 
 /** Target number of kept elements for a sparsity degree. */
@@ -180,8 +298,8 @@ checkTileDivisibility(const Matrix &scores, size_t m)
  *
  * Instead of re-running a top-N selection per (N, dim) candidate, rank
  * every block element once within its row and its column under
- * (score desc, index asc) — the same strict total order selectTopN
- * uses, so "rank < N" reproduces its top-N set exactly — and build
+ * (score desc, index asc) — the selection order every family uses, so
+ * "rank < N" is the group's top-N set — and build
  * prefix-overlap tables against the unstructured mask. Each
  * direction's L1 distance for any candidate N then reads off in O(1):
  * dist(N) = N*m + us_nnz - 2*overlap[N].
@@ -213,42 +331,19 @@ tbsScoreBlockRows(const Matrix &scores, const Mask &us,
             }
             if constexpr (!std::is_same_v<MT, size_t>) {
                 static_assert(MT::value == 8);
-                // The selectTopN-order rank oracle, dispatched to the
+                // The selection-order rank oracle, dispatched to the
                 // active ISA level (kernels/): both rank tables of the
                 // whole 8x8 block in one call.
                 rank_kernel(blk.data(), rank_row.data(),
                             rank_col.data());
             } else {
-                // Bitwise |/& rather than short-circuit ||/&&: scores
-                // are effectively random, so data-dependent branches
-                // mispredict half the time.
-                for (size_t r = 0; r < m; ++r) {
-                    const float *row = &blk[r * m];
+                for (size_t r = 0; r < m; ++r)
                     for (size_t c = 0; c < m; ++c) {
-                        const float v = row[c];
-                        unsigned rk = 0;
-                        for (size_t c2 = 0; c2 < m; ++c2)
-                            rk += static_cast<unsigned>(row[c2] > v)
-                                | (static_cast<unsigned>(row[c2] == v)
-                                   & static_cast<unsigned>(c2 < c));
-                        rank_row[r * m + c] =
-                            static_cast<uint16_t>(rk);
+                        rank_row[r * m + c] = static_cast<uint16_t>(
+                            groupRank(&blk[r * m], 1, m, c));
+                        rank_col[r * m + c] = static_cast<uint16_t>(
+                            groupRank(&blk[c], m, m, r));
                     }
-                }
-                for (size_t c = 0; c < m; ++c) {
-                    for (size_t r = 0; r < m; ++r) {
-                        const float v = blk[r * m + c];
-                        unsigned rk = 0;
-                        for (size_t r2 = 0; r2 < m; ++r2)
-                            rk += static_cast<unsigned>(
-                                      blk[r2 * m + c] > v)
-                                | (static_cast<unsigned>(
-                                       blk[r2 * m + c] == v)
-                                   & static_cast<unsigned>(r2 < r));
-                        rank_col[r * m + c] =
-                            static_cast<uint16_t>(rk);
-                    }
-                }
             }
             // overlap_dir[k]: US-kept positions whose in-group rank is
             // below k, i.e. |top-k mask AND us| for direction dir.
@@ -307,40 +402,120 @@ tbsScoreBlockRows(const Matrix &scores, const Mask &us,
     }
 }
 
-/** Pack one row tile of 0/1 bytes into the mask (len <= 64). */
-void
-packTile(Mask &mask, size_t r, size_t c0, std::span<const uint8_t> keep)
-{
-    uint64_t bits = 0;
-    for (size_t i = 0; i < keep.size(); ++i)
-        bits |= static_cast<uint64_t>(keep[i] != 0) << i;
-    mask.setRowBits(r, c0, keep.size(), bits);
-}
-
-/** Pack a row-major 0/1 byte image into the mask, 64 bytes per step. */
-void
-packBytes(Mask &mask, std::span<const uint8_t> keep)
-{
-    for (size_t r = 0; r < mask.rows(); ++r) {
-        const uint8_t *src = keep.data() + r * mask.cols();
-        for (size_t c0 = 0; c0 < mask.cols(); c0 += 64) {
-            const size_t len = std::min<size_t>(64, mask.cols() - c0);
-            packTile(mask, r, c0, {src + c0, len});
-        }
-    }
-}
-
 } // namespace
 
 Mask
 usMask(const Matrix &scores, double sparsity)
 {
     const size_t k = targetNnz(scores.size(), sparsity);
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<uint8_t> keep(scores.size());
-    std::vector<float> scratch;
-    selectTopN(scores.data(), k, keep, scratch);
-    packBytes(mask, keep);
+    const size_t rows = scores.rows();
+    const size_t cols = scores.cols();
+    Mask mask(rows, cols);
+    if (k == 0)
+        return mask;
+
+    // Whole-row chunks whose layout depends only on the shape: every
+    // per-chunk count below is the same at any thread count, and
+    // chunks own disjoint mask words.
+    const size_t chunk_rows = std::max<size_t>(1, kSelectChunk / cols);
+    const size_t chunks = (rows + chunk_rows - 1) / chunk_rows;
+    const auto chunkRows = [&](size_t ci) {
+        return std::pair{ci * chunk_rows,
+                         std::min(rows, (ci + 1) * chunk_rows)};
+    };
+    const auto chunkScores = [&](size_t ci) {
+        const auto [r0, r1] = chunkRows(ci);
+        return scores.data().subspan(r0 * cols, (r1 - r0) * cols);
+    };
+
+    // Pass 1: per-chunk histograms of the top 11 key bits; the bucket
+    // holding the k-th largest key bounds the threshold.
+    std::vector<uint32_t> hist(chunks * kBuckets);
+    util::runChunked(chunks, [&](size_t ci) {
+        uint32_t *h = &hist[ci * kBuckets];
+        for (const float v : chunkScores(ci))
+            ++h[orderKey(v) >> 21];
+    });
+    std::vector<size_t> total(kBuckets);
+    for (size_t ci = 0; ci < chunks; ++ci)
+        for (size_t b = 0; b < kBuckets; ++b)
+            total[b] += hist[ci * kBuckets + b];
+    size_t need = k;
+    const auto top = static_cast<uint32_t>(pickBucket(total, need));
+
+    // Pass 2: gather that bucket's keys in index order. Chunk ci
+    // writes from base[ci] with one slot of slack, so the gather can
+    // store every key and advance only on a match, without a branch.
+    std::vector<size_t> base(chunks + 1);
+    for (size_t ci = 0; ci < chunks; ++ci)
+        base[ci + 1] = base[ci] + hist[ci * kBuckets + top] + 1;
+    std::vector<uint32_t> cand(base[chunks]);
+    util::runChunked(chunks, [&](size_t ci) {
+        uint32_t *out = &cand[base[ci]];
+        for (const float v : chunkScores(ci)) {
+            const uint32_t key = orderKey(v);
+            *out = key;
+            out += (key >> 21) == top;
+        }
+    });
+    const auto chunkCand = [&](size_t ci) {
+        return std::span<const uint32_t>(&cand[base[ci]],
+                                         hist[ci * kBuckets + top]);
+    };
+
+    // The exact threshold key: the middle 11 bits, then the low 10,
+    // over the bucket's keys only. Afterwards `need` counts the keys
+    // equal to the threshold that are kept, lowest indices first.
+    std::vector<size_t> sub(kBuckets);
+    for (size_t ci = 0; ci < chunks; ++ci)
+        for (const uint32_t key : chunkCand(ci))
+            ++sub[(key >> 10) & 0x7ffu];
+    const auto mid = static_cast<uint32_t>(pickBucket(sub, need));
+    const uint32_t hi21 = (top << 11) | mid;
+    std::fill(sub.begin(), sub.end(), size_t{0});
+    for (size_t ci = 0; ci < chunks; ++ci)
+        for (const uint32_t key : chunkCand(ci))
+            if ((key >> 10) == hi21)
+                ++sub[key & 0x3ffu];
+    const auto low = static_cast<uint32_t>(
+        pickBucket(std::span(sub).first(1024), need));
+    const uint32_t threshold = (hi21 << 10) | low;
+    const float thr = keyScore(threshold);
+
+    // Tie budget per chunk: the ties kept go to the earliest chunks.
+    std::vector<size_t> ties(chunks);
+    for (size_t ci = 0; ci < chunks && need > 0; ++ci) {
+        const std::span<const uint32_t> keys = chunkCand(ci);
+        const auto eq = static_cast<size_t>(
+            std::count(keys.begin(), keys.end(), threshold));
+        ties[ci] = std::min(need, eq);
+        need -= ties[ci];
+    }
+
+    // Pass 3: write whole mask words. Keys order like the floats they
+    // map, so the compares run on the scores directly.
+    util::runChunked(chunks, [&](size_t ci) {
+        size_t budget = ties[ci];
+        const auto [r0, r1] = chunkRows(ci);
+        for (size_t r = r0; r < r1; ++r) {
+            const float *row = scores.row(r).data();
+            for (size_t c0 = 0; c0 < cols; c0 += 64) {
+                const size_t len = std::min<size_t>(64, cols - c0);
+                uint8_t above[64] = {};
+                for (size_t i = 0; i < len; ++i)
+                    above[i] = row[c0 + i] > thr;
+                uint64_t bits = 0;
+                for (size_t j = 0; j < len; j += 8)
+                    bits |= gatherBytes8(loadBytes8(above + j)) << j;
+                for (size_t i = 0; budget > 0 && i < len; ++i)
+                    if (row[c0 + i] == thr) {
+                        bits |= uint64_t{1} << i;
+                        --budget;
+                    }
+                mask.setRowBits(r, c0, len, bits);
+            }
+        }
+    });
     return mask;
 }
 
@@ -349,23 +524,7 @@ tsMask(const Matrix &scores, size_t n, size_t m)
 {
     checkTileDivisibility(scores, m);
     ensure(n <= m, "tsMask requires n <= m");
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < scores.cols(); t += m) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t + i);
-            selectTopN(tile, n, keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t + i) = keep[i];
-        }
-    }
-    return mask;
+    return selectTiles(scores, m, [n](size_t, size_t) { return n; });
 }
 
 Mask
@@ -386,24 +545,8 @@ rsvMask(const Matrix &scores, double sparsity, size_t m,
         units[r] = {static_cast<double>(row_nnz), groups};
     }
     const std::vector<uint8_t> n = fitCounts(units, candidates, target);
-
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < scores.cols(); t += m) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t + i);
-            selectTopN(tile, n[r], keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t + i) = keep[i];
-        }
-    }
-    return mask;
+    return selectTiles(scores, m,
+                       [&n](size_t r, size_t) { return size_t{n[r]}; });
 }
 
 Mask
@@ -492,14 +635,12 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
     }
 
     // Materialize: per super-group keep the T tiles with the largest
-    // score mass, each at its inner density.
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
+    // score mass, each at its inner density (tile_n, 0 when dropped).
+    std::vector<uint8_t> tile_n(scores.rows() * tiles_per_row);
+    std::vector<std::pair<double, size_t>> mass;
     for (size_t u = 0; u < supers.size(); ++u) {
         const Super &s = supers[u];
-        std::vector<std::pair<double, size_t>> mass(s.tiles);
+        mass.resize(s.tiles);
         for (size_t t = 0; t < s.tiles; ++t) {
             double sum = 0.0;
             for (size_t i = 0; i < m; ++i)
@@ -512,19 +653,13 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
                           return a.first > b.first;
                       return a.second < b.second;
                   });
-        for (size_t rank = 0; rank < t_count[u]; ++rank) {
-            const size_t t = mass[rank].second;
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(s.row, (s.tile0 + t) * m + i);
-            selectTopN(tile, s.n0, keep, scratch);
-            if (m <= 64)
-                packTile(mask, s.row, (s.tile0 + t) * m, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(s.row, (s.tile0 + t) * m + i) = keep[i];
-        }
+        for (size_t rank = 0; rank < t_count[u]; ++rank)
+            tile_n[s.row * tiles_per_row + s.tile0 + mass[rank].second] =
+                s.n0;
     }
-    return mask;
+    return selectTiles(scores, m, [&](size_t r, size_t t) {
+        return size_t{tile_n[r * tiles_per_row + t]};
+    });
 }
 
 TbsResult
@@ -622,24 +757,9 @@ ssMask(const Matrix &scores, double sparsity, size_t m)
         }
     }
     const std::vector<uint8_t> n = fitCounts(units, cand, target);
-
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < tiles_per_row; ++t) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t * m + i);
-            selectTopN(tile, n[r * tiles_per_row + t], keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t * m, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t * m + i) = keep[i];
-        }
-    }
-    return mask;
+    return selectTiles(scores, m, [&](size_t r, size_t t) {
+        return size_t{n[r * tiles_per_row + t]};
+    });
 }
 
 Mask
@@ -650,8 +770,10 @@ patternMask(Pattern p, const Matrix &scores, double sparsity, size_t m,
       case Pattern::Dense: {
         Mask mask(scores.rows(), scores.cols());
         for (size_t r = 0; r < mask.rows(); ++r)
-            for (size_t c = 0; c < mask.cols(); ++c)
-                mask.at(r, c) = 1;
+            for (size_t c0 = 0; c0 < mask.cols(); c0 += 64)
+                mask.setRowBits(r, c0,
+                                std::min<size_t>(64, mask.cols() - c0),
+                                ~uint64_t{0});
         return mask;
       }
       case Pattern::US:

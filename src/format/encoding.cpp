@@ -263,6 +263,13 @@ class DdcEncoding final : public Encoding
                    && cols_ == meta.blockCols * meta.m,
                "DDC metadata grid mismatch");
         const size_t m = meta.m;
+        // Every group stores exactly N slots, so the sizes are known.
+        size_t slots = 0;
+        for (const auto &info : meta.blocks)
+            slots += size_t{info.n} * m;
+        offsets_.reserve(meta.blocks.size());
+        values_.reserve(slots);
+        intra_idx_.reserve(slots);
         for (size_t br = 0; br < meta.blockRows; ++br) {
             for (size_t bc = 0; bc < meta.blockCols; ++bc) {
                 const auto &info = meta.block(br, bc);
@@ -392,6 +399,7 @@ class BitmapEncoding final : public Encoding
         ensure(mask.rows() == rows_ && mask.cols() == cols_,
                "Bitmap mask shape mismatch");
         bits_.assign((rows_ * cols_ + 7) / 8, 0);
+        values_.reserve(mask.nnz());
         for (size_t r = 0; r < rows_; ++r) {
             mask.forEachSet(r, [&](size_t c) {
                 const size_t pos = r * cols_ + c;

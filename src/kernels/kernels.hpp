@@ -4,9 +4,10 @@
  *
  * Every bit-level hot loop in the library — the packed-mask popcount
  * family, the SWAR byte-lane accumulator behind blockNnz, the rank8
- * scoring oracle of Algorithm 1, the DDC index-stream bit packer, and
- * CRC-32 — routes through one table of function pointers selected
- * once, at first use, from runtime CPU-feature detection. Each ISA's
+ * scoring oracle of Algorithm 1, the per-tile rank that selects every
+ * 8-wide N:M tile mask, the DDC index-stream bit packer, and CRC-32 —
+ * routes through one table of function pointers selected once, at
+ * first use, from runtime CPU-feature detection. Each ISA's
  * implementations live in their own translation unit compiled with
  * the matching `-m` flags, so a single binary carries scalar, AVX2,
  * and AVX-512 paths on x86-64 (NEON on aarch64) and runs the best one
@@ -97,13 +98,21 @@ struct KernelTable
                               uint64_t *acc);
 
     /**
-     * Rank tables of one 8x8 row-major float block under the
-     * selectTopN total order (value descending, index ascending):
+     * Rank tables of one 8x8 row-major float block under the mask
+     * selection order (value descending, index ascending):
      * rank_row[r*8+c] ranks element (r, c) within row r, rank_col
      * ranks it within column c. Alg. 1's scoring oracle.
      */
     void (*rank8x8)(const float *blk, uint16_t *rank_row,
                     uint16_t *rank_col);
+
+    /**
+     * Rank of every element of @p tiles consecutive 8-float tiles
+     * within its own tile, same order as rank8x8: rank[t*8+i] ranks
+     * v[t*8+i] among v[t*8 .. t*8+7]. "rank < N" is the tile's top-N
+     * set, which is how the TS/RSV/RSH/SS generators select.
+     */
+    void (*rankTiles8)(const float *v, size_t tiles, uint8_t *rank);
 
     /**
      * Pack n values of `bits` bits each (1 <= bits <= 8, values

@@ -195,11 +195,12 @@ bytePopcountAccum(const uint64_t *w, size_t n, uint64_t *acc)
 }
 
 // --------------------------------------------------------------------
-// rank8x8: vector pairwise comparator. For one 8-float row v, lane c
-// accumulates one rank point per broadcast source c2 with
-// v[c2] > v[c], or v[c2] == v[c] when c2 < c — exactly the scalar
-// (value desc, index asc) total order. Column ranks come from the
-// same kernel after an 8x8 register transpose.
+// rank8x8 / rankTiles8: vector pairwise comparator. For one 8-float
+// row v, lane c accumulates one rank point per broadcast source c2
+// with v[c2] > v[c], or v[c2] == v[c] when c2 < c — exactly the scalar
+// (value desc, index asc) total order. Tiles are rows; rank8x8 is
+// "rank, transpose, rank", the column ranks coming from the same
+// kernel after an 8x8 register transpose.
 // --------------------------------------------------------------------
 
 inline void
@@ -231,34 +232,36 @@ transpose8x8(__m256 r[8])
     r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
 }
 
+/** In-row ranks of one 8-float row, one u16 per lane (low halves). */
+inline __m128i
+rankRow8(__m256 v)
+{
+    const __m256i idx =
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i rank = _mm256_setzero_si256();
+    for (int c2 = 0; c2 < 8; ++c2) {
+        const __m256i c2v = _mm256_set1_epi32(c2);
+        const __m256 b = _mm256_permutevar8x32_ps(v, c2v);
+        const __m256i gt = _mm256_castps_si256(
+            _mm256_cmp_ps(b, v, _CMP_GT_OQ));
+        const __m256i eq = _mm256_castps_si256(
+            _mm256_cmp_ps(b, v, _CMP_EQ_OQ));
+        const __m256i tie = _mm256_and_si256(
+            eq, _mm256_cmpgt_epi32(idx, c2v));
+        // Matching lanes are all-ones (-1): subtract to count.
+        rank = _mm256_sub_epi32(rank, _mm256_or_si256(gt, tie));
+    }
+    return _mm_packus_epi32(_mm256_castsi256_si128(rank),
+                            _mm256_extracti128_si256(rank, 1));
+}
+
 /** Rank all 8 rows of the block; out is a row-major 8x8 u16 table. */
 inline void
 rankRows8(const __m256 rows[8], uint16_t *out)
 {
-    const __m256i idx =
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for (int r = 0; r < 8; ++r) {
-        const __m256 v = rows[r];
-        __m256i rank = _mm256_setzero_si256();
-        for (int c2 = 0; c2 < 8; ++c2) {
-            const __m256i c2v = _mm256_set1_epi32(c2);
-            const __m256 b = _mm256_permutevar8x32_ps(v, c2v);
-            const __m256i gt = _mm256_castps_si256(
-                _mm256_cmp_ps(b, v, _CMP_GT_OQ));
-            const __m256i eq = _mm256_castps_si256(
-                _mm256_cmp_ps(b, v, _CMP_EQ_OQ));
-            const __m256i tie = _mm256_and_si256(
-                eq, _mm256_cmpgt_epi32(idx, c2v));
-            // Matching lanes are all-ones (-1): subtract to count.
-            rank = _mm256_sub_epi32(rank,
-                                    _mm256_or_si256(gt, tie));
-        }
-        const __m128i packed = _mm_packus_epi32(
-            _mm256_castsi256_si128(rank),
-            _mm256_extracti128_si256(rank, 1));
+    for (int r = 0; r < 8; ++r)
         _mm_storeu_si128(reinterpret_cast<__m128i *>(out + r * 8),
-                         packed);
-    }
+                         rankRow8(rows[r]));
 }
 
 void
@@ -274,6 +277,16 @@ rank8x8(const float *blk, uint16_t *rank_row, uint16_t *rank_col)
     for (int c = 0; c < 8; ++c)
         for (int r = 0; r < 8; ++r)
             rank_col[r * 8 + c] = tmp[c * 8 + r];
+}
+
+void
+rankTiles8(const float *v, size_t tiles, uint8_t *rank)
+{
+    for (size_t t = 0; t < tiles; ++t) {
+        const __m128i r16 = rankRow8(_mm256_loadu_ps(v + t * 8));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(rank + t * 8),
+                         _mm_packus_epi16(r16, r16));
+    }
 }
 
 // --------------------------------------------------------------------
@@ -493,6 +506,7 @@ avx2Table()
         t.xorInplace = &xorInplace;
         t.bytePopcountAccum = &bytePopcountAccum;
         t.rank8x8 = &rank8x8;
+        t.rankTiles8 = &rankTiles8;
         t.packIdx = &packIdx;
         t.unpackIdx = &unpackIdx;
         // PCLMUL+SSE4.2 ride along with AVX2 on every known part, but

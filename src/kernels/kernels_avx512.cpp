@@ -8,9 +8,9 @@
  *
  * Popcounts use VPOPCNTDQ (vpopcntq: native 64-bit lane popcount, no
  * LUT needed); the byte-lane accumulator uses the 512-bit pshufb
- * nibble LUT (AVX512BW). rank8x8, the BMI2 index codec, and the
- * PCLMUL CRC gain nothing from 512-bit width — those entries reuse
- * the AVX2 implementations.
+ * nibble LUT (AVX512BW). rank8x8, rankTiles8, the BMI2 index codec,
+ * and the PCLMUL CRC gain nothing from 512-bit width — those entries
+ * reuse the AVX2 implementations.
  */
 
 #include <immintrin.h>
@@ -170,7 +170,7 @@ const KernelTable &
 avx512Table()
 {
     static const KernelTable table = [] {
-        KernelTable t = avx2Table(); // rank8x8 / codec / crc32 entries.
+        KernelTable t = avx2Table(); // rank / codec / crc32 entries.
         t.isa = Isa::Avx512;
         t.name = "avx512";
         t.popcount = &popcountWords;

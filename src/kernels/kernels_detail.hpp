@@ -45,9 +45,10 @@ void scalarPackIdx(const uint8_t *vals, size_t n, unsigned bits,
 void scalarUnpackIdx(const uint8_t *src, size_t n, unsigned bits,
                      uint8_t *dst);
 
-/** Scalar rank8x8, shared by levels without a vector comparator. */
+/** Scalar rank8x8 / rankTiles8, shared by levels without a vector form. */
 void scalarRank8x8(const float *blk, uint16_t *rank_row,
                    uint16_t *rank_col);
+void scalarRankTiles8(const float *v, size_t tiles, uint8_t *rank);
 
 } // namespace tbstc::kernels::detail
 

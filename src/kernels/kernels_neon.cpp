@@ -7,9 +7,9 @@
  *
  * vcntq_u8 gives per-byte popcounts directly — both the popcount
  * family (via the pairwise-add widening chain) and the byte-lane
- * accumulator come out almost for free. rank8x8 and the index codec
- * keep the scalar forms: without pext/pdep the byte-gather tricks
- * don't pay for themselves on the 2x64-bit lanes.
+ * accumulator come out almost for free. rank8x8, rankTiles8 and the
+ * index codec keep the scalar forms: without pext/pdep the byte-gather
+ * tricks don't pay for themselves on the 2x64-bit lanes.
  */
 
 #include <arm_neon.h>
@@ -154,7 +154,7 @@ const KernelTable &
 neonTable()
 {
     static const KernelTable table = [] {
-        KernelTable t = scalarTable(); // rank8x8 / codec entries.
+        KernelTable t = scalarTable(); // rank / codec entries.
         t.isa = Isa::Neon;
         t.name = "neon";
         t.popcount = &popcountWords;

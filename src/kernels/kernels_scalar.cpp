@@ -182,15 +182,16 @@ scalarUnpackIdx(const uint8_t *src, size_t n, unsigned bits, uint8_t *dst)
 }
 
 // --------------------------------------------------------------------
-// rank8x8: ranks of every element of an 8x8 block within its row and
-// its column under (value desc, index asc) — 28 branchless pairwise
-// compares per 8-element group, everything in registers.
+// rank8x8 / rankTiles8: ranks of 8-element groups under (value desc,
+// index asc) — 28 branchless pairwise compares per group, everything
+// in registers.
 // --------------------------------------------------------------------
 
 namespace {
 
+template <typename Out>
 inline void
-rank8(const float *p, size_t stride, uint16_t *out, size_t out_stride)
+rank8(const float *p, size_t stride, Out *out, size_t out_stride)
 {
     float v[8];
     for (size_t i = 0; i < 8; ++i)
@@ -203,7 +204,7 @@ rank8(const float *p, size_t stride, uint16_t *out, size_t out_stride)
             rk[i] += 1u - ifirst;
         }
     for (size_t i = 0; i < 8; ++i)
-        out[i * out_stride] = static_cast<uint16_t>(rk[i]);
+        out[i * out_stride] = static_cast<Out>(rk[i]);
 }
 
 } // namespace
@@ -215,6 +216,13 @@ scalarRank8x8(const float *blk, uint16_t *rank_row, uint16_t *rank_col)
         rank8(blk + r * 8, 1, rank_row + r * 8, 1);
     for (size_t c = 0; c < 8; ++c)
         rank8(blk + c, 8, rank_col + c, 8);
+}
+
+void
+scalarRankTiles8(const float *v, size_t tiles, uint8_t *rank)
+{
+    for (size_t t = 0; t < tiles; ++t)
+        rank8(v + t * 8, 1, rank + t * 8, 1);
 }
 
 const KernelTable &
@@ -231,6 +239,7 @@ scalarTable()
         &xorInplace,
         &bytePopcountAccum,
         &scalarRank8x8,
+        &scalarRankTiles8,
         &scalarPackIdx,
         &scalarUnpackIdx,
         &scalarCrc32,

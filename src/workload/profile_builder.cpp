@@ -240,8 +240,10 @@ buildLayerProfileUncached(const ProfileSpec &spec)
                     info = {static_cast<uint8_t>(m),
                             SparsityDim::Reduction};
                     for (size_t r = 0; r < m; ++r)
-                        for (size_t c = 0; c < m; ++c)
-                            mask.at(br * m + r, bc * m + c) = 1;
+                        for (size_t c0 = 0; c0 < m; c0 += 64)
+                            mask.setRowBits(br * m + r, bc * m + c0,
+                                            std::min<size_t>(64, m - c0),
+                                            ~uint64_t{0});
                 }
             }
         }

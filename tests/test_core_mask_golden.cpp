@@ -8,8 +8,8 @@
  * implementation produced. The hashes below were captured from the
  * pre-packing build (FNV-1a over the row-major byte image, and over
  * the TbsMeta block table) and pin that contract — any drift in
- * usMask/tsMask/rsvMask/rshMask/tbsMask or in the per-block direction
- * choice fails here first.
+ * usMask/tsMask/rsvMask/rshMask/tbsMask/ssMask or in the per-block
+ * direction choice fails here first.
  *
  * The second half cross-checks every packed kernel (popcount nnz,
  * word-wise combinators, agreement/overlap/hamming, blockNnz,
@@ -73,21 +73,27 @@ struct Golden
     size_t cols;
     double sparsity;
     uint64_t seed;
-    uint64_t us, ts, rsv, rsh, tbs, tbsMeta;
+    uint64_t us, ts, rsv, rsh, tbs, tbsMeta, ss;
 };
 
 // Captured from the byte-per-element implementation (see file
-// comment); treat as a wire contract, do not regenerate casually.
+// comment); treat as a wire contract, do not regenerate casually. The
+// SS column came later (SlideSparse postdates the packing) and was
+// captured from the nth_element selection, before the histogram
+// threshold and tile rank tables replaced it.
 constexpr Golden kGolden[] = {
     {64, 64, 0.75, 7,
      0xee70fc3eff05feadull, 0xb98cc29640f01331ull, 0x7f1e49a8e7b34a7full,
-     0xf9739bef9138e965ull, 0x91567d811db2da77ull, 0x466a376fd7c81d23ull},
+     0xf9739bef9138e965ull, 0x91567d811db2da77ull, 0x466a376fd7c81d23ull,
+     0x34cbd816cde995b1ull},
     {128, 64, 0.5, 11,
      0xf65095781effea11ull, 0x33509c9d6c9a7d33ull, 0xe85eab8473b3a025ull,
-     0xb864a185c66c8bc9ull, 0x3460b3a21264f6cfull, 0xb50fadd054ae1dd7ull},
+     0xb864a185c66c8bc9ull, 0x3460b3a21264f6cfull, 0xb50fadd054ae1dd7ull,
+     0x82d9f8e78cbd1a0dull},
     {96, 192, 0.625, 3,
      0x53d83fe9c5770917ull, 0xd977e2eea54907ebull, 0x0803e89e6205045full,
-     0x33ff78ca594c9825ull, 0x22bc9210714dd933ull, 0x94a2cd3a8e986ea5ull},
+     0x33ff78ca594c9825ull, 0x22bc9210714dd933ull, 0x94a2cd3a8e986ea5ull,
+     0xfdc03ca749ccd609ull},
 };
 
 TEST(MaskGolden, EveryFamilyMatchesPrePackingBuild)
@@ -110,6 +116,7 @@ TEST(MaskGolden, EveryFamilyMatchesPrePackingBuild)
             core::tbsMask(scores, g.sparsity, 8, cand);
         EXPECT_EQ(maskHash(tbs.mask), g.tbs);
         EXPECT_EQ(metaHash(tbs.meta), g.tbsMeta);
+        EXPECT_EQ(maskHash(core::ssMask(scores, g.sparsity, 8)), g.ss);
         // usHamming memoizes hamming(usMask) for maskSimilarity.
         EXPECT_EQ(tbs.usHamming,
                   tbs.mask.hamming(core::usMask(scores, g.sparsity)));

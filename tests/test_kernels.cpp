@@ -177,6 +177,45 @@ TEST(KernelEquivalence, Rank8x8)
     }
 }
 
+TEST(KernelEquivalence, RankTiles8)
+{
+    const auto levels = vectorLevels();
+    const KernelTable *s = kernels::kernelTableFor(Isa::Scalar);
+    std::mt19937_64 rng(47);
+    for (int trial = 0; trial < 300; ++trial) {
+        // Tie-heavy, spread-out and signed-zero tiles; odd tile counts
+        // (including 0 and 1) cover every loop tail.
+        const size_t tiles = static_cast<size_t>(rng() % 40);
+        std::vector<float> v(tiles * 8);
+        std::uniform_int_distribution<int> d(-(trial % 3 ? 3 : 1000),
+                                             trial % 3 ? 3 : 1000);
+        for (auto &x : v) {
+            x = static_cast<float>(d(rng)) * 0.25f;
+            if (x == 0.0f && (rng() & 1))
+                x = -0.0f;
+        }
+        std::vector<uint8_t> r0(v.size(), 0xAA);
+        s->rankTiles8(v.data(), tiles, r0.data());
+        // The scalar level is the order's definition: within each tile
+        // the ranks are a permutation of 0..7 with rank[i] counting
+        // larger values plus equal values at lower indices.
+        for (size_t t = 0; t < tiles; ++t)
+            for (size_t i = 0; i < 8; ++i) {
+                unsigned want = 0;
+                for (size_t j = 0; j < 8; ++j)
+                    want += v[t * 8 + j] > v[t * 8 + i]
+                        || (v[t * 8 + j] == v[t * 8 + i] && j < i);
+                ASSERT_EQ(r0[t * 8 + i], want)
+                    << "scalar tile " << t << " lane " << i;
+            }
+        for (const KernelTable *t : levels) {
+            std::vector<uint8_t> r1(v.size(), 0x55);
+            t->rankTiles8(v.data(), tiles, r1.data());
+            EXPECT_EQ(r0, r1) << t->name << ", trial " << trial;
+        }
+    }
+}
+
 TEST(KernelEquivalence, PackUnpackIdx)
 {
     const auto levels = vectorLevels();
