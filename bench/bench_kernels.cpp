@@ -190,6 +190,21 @@ BM_BuildLayerProfile(benchmark::State &state)
 }
 BENCHMARK(BM_BuildLayerProfile);
 
+/**
+ * Weight synthesis of a rows x 4096 layer: 32 row chunks at 2048 rows,
+ * filled on the pool (serial under TBSTC_THREADS=1).
+ */
+void
+BM_SynthWeights(benchmark::State &state)
+{
+    const workload::GemmShape shape{
+        "synth-bench", static_cast<uint64_t>(state.range(0)), 4096, 1};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(workload::synthWeights(shape, 7));
+    state.SetItemsProcessed(state.iterations() * shape.x * shape.y);
+}
+BENCHMARK(BM_SynthWeights)->Arg(2048)->Unit(benchmark::kMillisecond);
+
 // --------------------------------------------------------------------
 // Packed-mask kernels: the word-parallel primitives the bit-packed
 // Mask replaced byte loops with. Throughput here is what the 3x

@@ -15,8 +15,13 @@ Matrix::Matrix(size_t rows, size_t cols)
 {
 }
 
+Matrix::Matrix(size_t rows, size_t cols, Uninitialized)
+    : rows_(rows), cols_(cols), data_(rows * cols)
+{
+}
+
 Matrix::Matrix(size_t rows, size_t cols, std::vector<float> data)
-    : rows_(rows), cols_(cols), data_(std::move(data))
+    : rows_(rows), cols_(cols), data_(data.begin(), data.end())
 {
     ensure(data_.size() == rows * cols, "Matrix data size mismatch");
 }

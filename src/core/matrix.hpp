@@ -16,21 +16,65 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace tbstc::core {
+
+/**
+ * std::allocator whose value-less construct() default-initializes, so
+ * a vector sized with it leaves trivial elements uninitialized.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
 
 /** Row-major dense float matrix. */
 class Matrix
 {
   public:
+    /** Tag for the constructor that leaves the elements unwritten. */
+    struct Uninitialized
+    {
+    };
+
     Matrix() = default;
 
     /** Construct a rows x cols matrix of zeros. */
     Matrix(size_t rows, size_t cols);
 
-    /** Construct from existing row-major data (size must match). */
+    /**
+     * Construct a rows x cols matrix whose elements the caller must
+     * write before reading. A large one is not even paged in until
+     * written, so a buffer filled piecewise (weight synthesis) costs
+     * memory only as it fills.
+     */
+    Matrix(size_t rows, size_t cols, Uninitialized);
+
+    /** Construct from a copy of row-major data (size must match). */
     Matrix(size_t rows, size_t cols, std::vector<float> data);
 
     size_t rows() const { return rows_; }
@@ -65,7 +109,7 @@ class Matrix
   private:
     size_t rows_ = 0;
     size_t cols_ = 0;
-    std::vector<float> data_;
+    std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /**

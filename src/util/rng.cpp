@@ -1,5 +1,7 @@
 #include "rng.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -24,6 +26,72 @@ uint64_t
 rotl(uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** GF(2) polynomial of degree < 256; bit i is the x^i coefficient. */
+using Poly = std::array<uint64_t, 4>;
+
+/**
+ * The characteristic polynomial of the xoshiro256 state transition is
+ * x^256 + kCharPoly. Found by Berlekamp-Massey on a state bit; x^(2^128)
+ * modulo it gives the reference implementation's JUMP constants.
+ */
+constexpr Poly kCharPoly = {0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+                            0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
+
+/** Interleave zero bits: bit i of @p x moves to bit 2i. */
+uint64_t
+spreadBits(uint64_t x)
+{
+    x = (x | (x << 16)) & 0x0000ffff0000ffffull;
+    x = (x | (x << 8)) & 0x00ff00ff00ff00ffull;
+    x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0full;
+    x = (x | (x << 2)) & 0x3333333333333333ull;
+    x = (x | (x << 1)) & 0x5555555555555555ull;
+    return x;
+}
+
+/** a^2 modulo the characteristic polynomial. */
+Poly
+squareMod(const Poly &a)
+{
+    // Squaring over GF(2) only spreads the bits: (sum a_i x^i)^2 =
+    // sum a_i x^2i.
+    std::array<uint64_t, 8> v{};
+    for (size_t i = 0; i < 4; ++i) {
+        v[2 * i] = spreadBits(a[i] & 0xffffffffull);
+        v[2 * i + 1] = spreadBits(a[i] >> 32);
+    }
+    // Cancel x^bit for every set bit >= 256, top down, by adding
+    // x^(bit-256) * (x^256 + kCharPoly); kCharPoly has degree < 242, so
+    // each step only touches bits below the one it clears.
+    for (size_t bit = 511; bit >= 256; --bit) {
+        if (!((v[bit / 64] >> (bit % 64)) & 1))
+            continue;
+        v[bit / 64] ^= uint64_t{1} << (bit % 64);
+        const size_t shift = bit - 256;
+        const size_t word = shift / 64;
+        const unsigned off = shift % 64;
+        for (size_t j = 0; j < 4; ++j) {
+            v[word + j] ^= kCharPoly[j] << off;
+            if (off != 0)
+                v[word + j + 1] ^= kCharPoly[j] >> (64 - off);
+        }
+    }
+    return {v[0], v[1], v[2], v[3]};
+}
+
+/** a * x modulo the characteristic polynomial. */
+Poly
+timesXMod(const Poly &a)
+{
+    const bool carry = a[3] >> 63;
+    Poly r = {a[0] << 1, (a[1] << 1) | (a[0] >> 63),
+              (a[2] << 1) | (a[1] >> 63), (a[3] << 1) | (a[2] >> 63)};
+    if (carry)
+        for (size_t j = 0; j < 4; ++j)
+            r[j] ^= kCharPoly[j];
+    return r;
 }
 
 } // namespace
@@ -51,6 +119,29 @@ Rng::next()
     s_[2] ^= t;
     s_[3] = rotl(s_[3], 45);
     return result;
+}
+
+void
+Rng::jump(uint64_t n)
+{
+    // x^n mod the characteristic polynomial, left to right over n's
+    // bits; then T^n s = sum_i c_i T^i s by stepping 256 times.
+    Poly c = {1, 0, 0, 0};
+    for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+        c = squareMod(c);
+        if ((n >> bit) & 1)
+            c = timesXMod(c);
+    }
+    uint64_t acc[4] = {0, 0, 0, 0};
+    for (size_t i = 0; i < 256; ++i) {
+        if ((c[i / 64] >> (i % 64)) & 1)
+            for (size_t j = 0; j < 4; ++j)
+                acc[j] ^= s_[j];
+        next();
+    }
+    for (size_t j = 0; j < 4; ++j)
+        s_[j] = acc[j];
+    haveSpare_ = false;
 }
 
 double
@@ -126,6 +217,19 @@ Rng
 Rng::split()
 {
     return Rng(next() ^ 0xa5a5a5a5deadbeefull);
+}
+
+bool
+Rng::operator==(const Rng &other) const
+{
+    for (size_t j = 0; j < 4; ++j)
+        if (s_[j] != other.s_[j])
+            return false;
+    if (haveSpare_ != other.haveSpare_)
+        return false;
+    return !haveSpare_
+        || std::bit_cast<uint64_t>(spare_)
+        == std::bit_cast<uint64_t>(other.spare_);
 }
 
 } // namespace tbstc::util

@@ -33,6 +33,16 @@ class Rng
     /** Next raw 64-bit draw. */
     uint64_t next();
 
+    /**
+     * Advance the stream as if next() were called @p n times, in
+     * O(log n): x^n reduced modulo the xoshiro256 characteristic
+     * polynomial (Blackman & Vigna's jump polynomials, generalised
+     * from the fixed 2^128 / 2^192 jumps to any n). A pending
+     * gaussian() spare is discarded, since it belongs to the stream
+     * position being left.
+     */
+    void jump(uint64_t n);
+
     /** Uniform double in [0, 1). */
     double uniform();
 
@@ -65,6 +75,9 @@ class Rng
 
     /** Derive an independent child stream (for parallel workloads). */
     Rng split();
+
+    /** Same generator state and the same pending gaussian() spare. */
+    bool operator==(const Rng &other) const;
 
   private:
     uint64_t s_[4];

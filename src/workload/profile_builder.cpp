@@ -71,15 +71,16 @@ uint64_t
 profileCacheKey(const ProfileSpec &spec)
 {
     util::Hasher h;
-    // v2: maskStrategy joined the spec (and the "" default hashes
-    // differently from any named strategy, so v1 keys can never alias).
-    h.str("tbstc.cache.profile.v2");
+    // v3: "" and "greedy" name one mask search and hash as one key
+    // (under v2 each spelling built and stored its own copy).
+    h.str("tbstc.cache.profile.v3");
     h.str(spec.shape.name);
     h.u64(spec.shape.x).u64(spec.shape.y).u64(spec.shape.nb);
     h.u64(static_cast<uint64_t>(spec.pattern));
     h.f64(spec.sparsity);
     h.u64(spec.m);
-    h.str(spec.maskStrategy);
+    h.str(spec.maskStrategy.empty() ? core::kGreedyStrategy
+                                    : spec.maskStrategy);
     h.u64(static_cast<uint64_t>(spec.fmt));
     h.u64(spec.densifyIndependent ? 1 : 0);
     h.u64(spec.seed);

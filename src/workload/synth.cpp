@@ -1,14 +1,18 @@
 #include "synth.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <tuple>
 
-#include "core/prune.hpp"
 #include "obs/obs.hpp"
+#include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tbstc::workload {
@@ -27,14 +31,16 @@ nameHash(const std::string &name)
     return h;
 }
 
-Matrix
-synthWeights(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
+namespace detail {
+
+SynthPlan::SynthPlan(const GemmShape &shape, uint64_t seed,
+                     uint64_t max_rows)
+    : rows(max_rows > 0 ? std::min<uint64_t>(shape.x, max_rows)
+                        : shape.x),
+      cols(shape.y), rng(seed ^ nameHash(shape.name))
 {
-    uint64_t rows = shape.x;
-    if (max_rows > 0)
-        rows = std::min<uint64_t>(rows, max_rows);
-    Rng rng(seed ^ nameHash(shape.name));
-    Matrix w(rows, shape.y);
+    const uint64_t width = std::max<uint64_t>(cols, 1);
+    chunkRows = ((kSynthChunkElements + width - 1) / width + 7) / 8 * 8;
 
     // Trained DNN weights are not i.i.d.: magnitudes vary per output
     // channel (row), per input feature (column), and regionally (e.g.
@@ -46,28 +52,230 @@ synthWeights(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
     // is why the paper's Fig. 17 finds mostly column-direction blocks:
     // a block whose kept mass sits in a few hot rows is matched best
     // by a per-column top-N mask.
-    std::vector<double> col_scale(shape.y);
-    for (auto &s : col_scale)
+    colScale.resize(cols);
+    for (auto &s : colScale)
         s = std::exp(rng.gaussian(0.0, 0.25));
-    std::vector<double> col_block_scale((shape.y + 7) / 8);
-    for (auto &s : col_block_scale)
+    colBlockScale.resize((cols + 7) / 8);
+    for (auto &s : colBlockScale)
         s = std::exp(rng.gaussian(0.0, 0.35));
+}
 
+size_t
+SynthPlan::chunks() const
+{
+    return (rows + chunkRows - 1) / chunkRows;
+}
+
+Rng
+SynthPlan::chunkStart(size_t k) const
+{
+    Rng start = rng;
+    if (k == 0)
+        return start;
+    // Row r makes `cols` uniform calls and cols + 1 + [r % 8 == 0]
+    // gaussian calls, and a gaussian call takes two draws exactly
+    // when it finds no spare. The column scales leave a spare behind
+    // iff they made an odd number of gaussian calls.
+    const uint64_t first = k * chunkRows;
+    const uint64_t uniforms = first * cols;
+    const uint64_t gaussians = first * (cols + 1) + first / 8;
+    const uint64_t spare0 = (cols + colBlockScale.size()) % 2;
+    const uint64_t draws = uniforms + 2 * ((gaussians - spare0 + 1) / 2);
+    if ((spare0 + gaussians) % 2 == 0) {
+        start.jump(draws);
+        return start;
+    }
+    // A spare is pending at the boundary: the row's last gaussian call
+    // drew a fresh pair, so rebuild it from those two draws through
+    // gaussian()'s own Box-Muller code.
+    start.jump(draws - 2);
+    (void)start.gaussian();
+    return start;
+}
+
+Rng
+SynthPlan::fill(size_t k, Rng gen, float *w, float *scores) const
+{
+    const uint64_t first = k * chunkRows;
+    const uint64_t last = std::min(rows, first + chunkRows);
     double row_block = 1.0;
-    for (uint64_t r = 0; r < rows; ++r) {
+    for (uint64_t r = first; r < last; ++r) {
         // Row-block (region) scale refreshes every 8 rows so it is
         // identical whether or not later rows get sampled away.
         if (r % 8 == 0)
-            row_block = std::exp(rng.gaussian(0.0, 0.7));
+            row_block = std::exp(gen.gaussian(0.0, 0.7));
         const double row_scale =
-            std::exp(rng.gaussian(0.0, 0.6)) * row_block;
-        for (uint64_t c = 0; c < shape.y; ++c) {
-            w.at(r, c) = static_cast<float>(
-                rng.heavyTail() * 0.02 * row_scale * col_scale[c]
-                * col_block_scale[c / 8]);
+            std::exp(gen.gaussian(0.0, 0.6)) * row_block;
+        float *out = w + r * cols;
+        for (uint64_t c = 0; c < cols; ++c) {
+            out[c] = static_cast<float>(
+                gen.heavyTail() * 0.02 * row_scale * colScale[c]
+                * colBlockScale[c / 8]);
         }
+        if (scores != nullptr)
+            for (uint64_t c = 0; c < cols; ++c)
+                scores[r * cols + c] = std::fabs(out[c]);
     }
-    return w;
+    return gen;
+}
+
+size_t
+settleChunks(const SynthPlan &plan, std::span<const Rng> starts,
+             std::span<const Rng> ends, float *w, float *scores)
+{
+    const size_t chunks = plan.chunks();
+    util::ensure(starts.size() == chunks && ends.size() == chunks,
+                 "settleChunks: one start and end state per chunk");
+    // gaussian() redraws a zero uniform (p = 2^-53 per pair), which
+    // shifts every later chunk's true start by one draw.
+    Rng expected = plan.rng;
+    for (size_t k = 0; k < chunks; ++k) {
+        if (starts[k] == expected) {
+            expected = ends[k];
+            continue;
+        }
+        for (size_t j = k; j < chunks; ++j)
+            expected = plan.fill(j, expected, w, scores);
+        return k;
+    }
+    return chunks;
+}
+
+} // namespace detail
+
+namespace {
+
+/**
+ * One synthesis: its plan, output buffers and a claim counter over
+ * the plan's row chunks. Any thread may claim and fill chunks; the
+ * owner's finish() returns once every chunk is filled and settled.
+ */
+class SynthWork
+{
+  public:
+    /** Draw the plan and allocate the outputs (scores if asked). */
+    void
+    plan(const GemmShape &shape, uint64_t seed, uint64_t max_rows,
+         bool with_scores)
+    {
+        detail::SynthPlan plan(shape, seed, max_rows);
+        // Every element is written by exactly one chunk fill, so the
+        // buffers are paged in as the chunks fill them, not up front.
+        Matrix weights(plan.rows, plan.cols, Matrix::Uninitialized{});
+        Matrix mags = with_scores
+            ? Matrix(plan.rows, plan.cols, Matrix::Uninitialized{})
+            : Matrix();
+        {
+            const std::lock_guard lk(m_);
+            starts_.resize(plan.chunks());
+            ends_.resize(plan.chunks());
+            plan_.emplace(std::move(plan));
+            w = std::move(weights);
+            scores = std::move(mags);
+            state_ = State::Ready;
+        }
+        cv_.notify_all();
+    }
+
+    /** Planning threw: release helpers waiting for the plan. */
+    void
+    abandon()
+    {
+        {
+            const std::lock_guard lk(m_);
+            if (state_ == State::Planning)
+                state_ = State::Abandoned;
+        }
+        cv_.notify_all();
+    }
+
+    /**
+     * Wait for the plan, then claim and fill chunks until none is
+     * left. Returns how many this caller filled.
+     */
+    size_t
+    help()
+    {
+        {
+            std::unique_lock lk(m_);
+            cv_.wait(lk, [&] { return state_ != State::Planning; });
+            if (state_ == State::Abandoned)
+                return 0;
+        }
+        size_t filled = 0;
+        while (fillNext())
+            ++filled;
+        return filled;
+    }
+
+    /**
+     * The owner's part: fan the chunks over the pool (inline when
+     * nested), wait for the chunks helpers claimed, then settle.
+     */
+    void
+    finish()
+    {
+        const size_t chunks = plan_->chunks();
+        util::runChunked(chunks, [&](size_t) { fillNext(); });
+        {
+            std::unique_lock lk(m_);
+            cv_.wait(lk, [&] { return filled_ == chunks; });
+        }
+        detail::settleChunks(*plan_, starts_, ends_, w.data().data(),
+                             scoresOut());
+    }
+
+    Matrix w;
+    Matrix scores; ///< Empty unless planned with scores.
+
+  private:
+    enum class State { Planning, Ready, Abandoned };
+
+    float *
+    scoresOut()
+    {
+        return scores.size() > 0 ? scores.data().data() : nullptr;
+    }
+
+    /** Claim one chunk and fill it; false once none is left. */
+    bool
+    fillNext()
+    {
+        const size_t k = next_.fetch_add(1);
+        if (k >= plan_->chunks())
+            return false;
+        starts_[k] = plan_->chunkStart(k);
+        ends_[k] = plan_->fill(k, starts_[k], w.data().data(),
+                               scoresOut());
+        bool last = false;
+        {
+            const std::lock_guard lk(m_);
+            last = ++filled_ == plan_->chunks();
+        }
+        if (last)
+            cv_.notify_all();
+        return true;
+    }
+
+    std::mutex m_;
+    std::condition_variable cv_;
+    State state_ = State::Planning;
+    size_t filled_ = 0;
+    std::atomic<size_t> next_{0};
+    std::optional<detail::SynthPlan> plan_;
+    std::vector<Rng> starts_;
+    std::vector<Rng> ends_;
+};
+
+} // namespace
+
+Matrix
+synthWeights(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
+{
+    SynthWork work;
+    work.plan(shape, seed, max_rows, /*with_scores=*/false);
+    work.finish();
+    return std::move(work.w);
 }
 
 namespace {
@@ -82,6 +290,7 @@ struct SynthEntry
 {
     std::weak_ptr<const SynthLayer> layer; ///< Set once produced.
     std::shared_future<SharedLayer> inflight; ///< Valid while producing.
+    std::shared_ptr<SynthWork> work; ///< Set while producing.
 };
 
 struct SynthFlights
@@ -110,6 +319,23 @@ countSynth(bool shared)
     (shared ? reused : synthesized).add();
 }
 
+/** Join a flight in progress: fill its unclaimed chunks, then wait. */
+SharedLayer
+joinFlight(const std::shared_future<SharedLayer> &flight, SynthWork &work)
+{
+    {
+        const obs::ScopedSpan span("workload.synth.help");
+        const size_t helped = work.help();
+        if (obs::metricsEnabled()) {
+            static const obs::Counter chunks = obs::counter(
+                "workload.weights.chunks_helped", obs::Domain::Host);
+            chunks.add(helped);
+        }
+    }
+    const obs::ScopedSpan span("workload.synth.wait");
+    return flight.get(); // Rethrows the producer's error.
+}
+
 } // namespace
 
 std::shared_ptr<const SynthLayer>
@@ -118,6 +344,7 @@ synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
     SynthFlights &flights = synthFlights();
     const SynthKey key{shape.name, shape.x, shape.y, max_rows, seed};
     std::promise<SharedLayer> promise;
+    std::shared_ptr<SynthWork> work;
     {
         std::unique_lock lk(flights.m);
         const auto it = flights.entries.find(key);
@@ -128,26 +355,31 @@ synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
             }
             if (it->second.inflight.valid()) {
                 const auto flight = it->second.inflight;
+                const auto joined = it->second.work;
                 lk.unlock();
                 countSynth(true);
-                return flight.get(); // Rethrows the producer's error.
+                return joinFlight(flight, *joined);
             }
         }
         // Entries whose layer died hold nothing but their key.
         std::erase_if(flights.entries, [](const auto &e) {
             return !e.second.inflight.valid() && e.second.layer.expired();
         });
-        flights.entries[key].inflight = promise.get_future().share();
+        SynthEntry &entry = flights.entries[key];
+        entry.inflight = promise.get_future().share();
+        entry.work = work = std::make_shared<SynthWork>();
     }
 
     countSynth(false);
     SharedLayer layer;
     try {
-        Matrix w = synthWeights(shape, seed, max_rows);
-        Matrix scores = core::magnitudeScores(w);
+        const obs::ScopedSpan span("workload.synth.produce");
+        work->plan(shape, seed, max_rows, /*with_scores=*/true);
+        work->finish();
         layer = std::make_shared<const SynthLayer>(
-            SynthLayer{std::move(w), std::move(scores)});
+            SynthLayer{std::move(work->w), std::move(work->scores)});
     } catch (...) {
+        work->abandon();
         {
             const std::lock_guard lk(flights.m);
             flights.entries.erase(key);
@@ -163,6 +395,7 @@ synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
         SynthEntry &entry = flights.entries.at(key);
         entry.layer = layer;
         entry.inflight = {};
+        entry.work.reset();
     }
     promise.set_value(layer);
     return layer;

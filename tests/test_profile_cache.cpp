@@ -177,7 +177,7 @@ TEST(ProfileCache, KeySeparatesSpecs)
     EXPECT_FALSE(sameProfile(base, renamed));
 }
 
-TEST(ProfileCache, KeySeparatesMaskStrategies)
+TEST(ProfileCache, KeyCanonicalizesMaskStrategy)
 {
     const StoreGuard guard;
     ContentStore &store = ContentStore::instance();
@@ -185,16 +185,16 @@ TEST(ProfileCache, KeySeparatesMaskStrategies)
     store.setDiskDir("");
     store.clearMemory();
 
-    // The mask-search strategy is hashed as spelled: the spelled-out
-    // default keys separately from the empty string but must rebuild
-    // to the same bits — a conservative split, never a false hit.
+    // "" and "greedy" name the same mask search: the spelled-out
+    // default hits the profile the empty string built.
     const auto before = store.stats();
     const LayerProfile base = buildLayerProfile(testSpec());
     EXPECT_EQ(store.stats().misses, before.misses + 1);
     auto named = testSpec();
     named.maskStrategy = "greedy";
     const LayerProfile greedy = buildLayerProfile(named);
-    EXPECT_EQ(store.stats().misses, before.misses + 2);
+    EXPECT_EQ(store.stats().misses, before.misses + 1);
+    EXPECT_EQ(store.stats().memoryHits, before.memoryHits + 1);
     EXPECT_TRUE(sameProfile(base, greedy));
 
     // A name outside the vocabulary is an error, never a profile.

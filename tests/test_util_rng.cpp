@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -140,6 +141,52 @@ TEST(Rng, SplitProducesIndependentStream)
     for (int i = 0; i < 100; ++i)
         same += a.next() == b.next();
     EXPECT_LT(same, 2);
+}
+
+TEST(Rng, JumpMatchesStepping)
+{
+    Rng picker(41);
+    std::vector<uint64_t> lengths = {0, 1, 2, 255, 256, 257, 100003};
+    for (int i = 0; i < 6; ++i)
+        lengths.push_back(picker.below(300000));
+    for (const uint64_t n : lengths) {
+        Rng stepped(43);
+        for (uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        Rng jumped(43);
+        jumped.jump(n);
+        EXPECT_TRUE(jumped == stepped) << "n = " << n;
+        EXPECT_EQ(jumped.next(), stepped.next()) << "n = " << n;
+    }
+
+    // Jumps compose: jump(a) then jump(b) is jump(a + b).
+    for (int i = 0; i < 16; ++i) {
+        const uint64_t a = picker.below(uint64_t{1} << 40);
+        const uint64_t b = picker.below(uint64_t{1} << 40);
+        Rng twice(47);
+        twice.jump(a);
+        twice.jump(b);
+        Rng once(47);
+        once.jump(a + b);
+        EXPECT_TRUE(twice == once) << a << " + " << b;
+    }
+}
+
+TEST(Rng, JumpDropsPendingSpareAndEqualityComparesIt)
+{
+    Rng a(53);
+    Rng b(53);
+    (void)a.gaussian(); // Two draws, a spare pending.
+    b.next();
+    b.next();
+    EXPECT_FALSE(a == b);
+    (void)a.gaussian(); // Consumes the spare, no draw.
+    EXPECT_TRUE(a == b);
+    (void)a.gaussian();
+    a.jump(0);
+    b.next();
+    b.next();
+    EXPECT_TRUE(a == b);
 }
 
 } // namespace

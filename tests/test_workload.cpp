@@ -19,6 +19,7 @@
 #include "core/prune.hpp"
 #include "obs/obs.hpp"
 #include "util/contentstore.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/models.hpp"
 #include "workload/profile_builder.hpp"
@@ -244,6 +245,7 @@ class SynthCounters
     bool live() const { return obs::metricsEnabled(); }
     uint64_t synthesized() const { return read("synthesized"); }
     uint64_t shared() const { return read("shared"); }
+    uint64_t chunksHelped() const { return read("chunks_helped"); }
 
   private:
     static uint64_t
@@ -317,6 +319,49 @@ TEST(ProfileBuilder, SharedSynthRacingThreadsSynthesizeOnce)
         EXPECT_EQ(counters.synthesized(), 1u);
         EXPECT_EQ(counters.shared(), kThreads - 1u);
     }
+}
+
+TEST(ProfileBuilder, SharedSynthHelpersMatchSerial)
+{
+    // Eight chunks of 128 rows: callers that find the flight in
+    // progress fill chunks instead of blocking.
+    const SynthCounters counters;
+    const GemmShape shape{"shared-helpers", 1024, 2048, 8};
+    const size_t chunks = detail::SynthPlan(shape, 17, 0).chunks();
+    ASSERT_EQ(chunks, 8u);
+    constexpr int kThreads = 8;
+    std::vector<std::shared_ptr<const SynthLayer>> got(kThreads);
+    std::atomic<int> started{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ++started;
+            while (started.load() < kThreads)
+                std::this_thread::yield();
+            got[t] = synthShared(shape, 17, 0);
+        });
+    for (auto &th : threads)
+        th.join();
+    for (const auto &layer : got)
+        EXPECT_EQ(layer.get(), got[0].get());
+    if (counters.live()) {
+        EXPECT_EQ(counters.synthesized(), 1u);
+        EXPECT_EQ(counters.shared(), kThreads - 1u);
+        EXPECT_LE(counters.chunksHelped(), chunks);
+    }
+
+    const tbstc::util::ThreadScope serial(1);
+    const auto w = synthWeights(shape, 17, 0);
+    const auto scores = tbstc::core::magnitudeScores(w);
+    ASSERT_EQ(got[0]->w.size(), w.size());
+    ASSERT_EQ(got[0]->scores.size(), scores.size());
+    EXPECT_EQ(std::memcmp(got[0]->w.data().data(), w.data().data(),
+                          w.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(got[0]->scores.data().data(),
+                          scores.data().data(),
+                          scores.size() * sizeof(float)),
+              0);
 }
 
 TEST(ProfileBuilder, SharedSynthRetainsNothing)

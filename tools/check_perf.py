@@ -4,11 +4,17 @@
 Both files are google-benchmark JSON (the --json flag of bench_kernels
 translates to --benchmark_out). Raw nanosecond times are not comparable
 across machines, so the check is *relative*: every benchmark's
-current/baseline cpu_time ratio is divided by the median ratio across
-all shared benchmarks (the machine-speed factor), and a benchmark fails
-only when it is more than --tolerance slower than the fleet after that
-normalization. A uniform slowdown (slower CI runner) therefore passes;
-one kernel regressing against its peers fails.
+current/baseline cpu_time ratio is divided by a machine-speed factor,
+and a benchmark fails only when it is more than --tolerance slower than
+the fleet after that normalization. A uniform slowdown (slower CI
+runner) therefore passes; one kernel regressing against its peers fails.
+
+The machine-speed factor is a robust median: ratios further than
+OUTLIER_MADS scaled median absolute deviations (in log space) from the
+median of all ratios are dropped, and the median of the rest is the
+factor. A change that speeds up a handful of kernels severalfold
+therefore does not drag the factor down and fail the untouched ones,
+and a regressed kernel does not pull the factor up to hide itself.
 
 Baselines are keyed by kernel ISA: kernel timings under AVX-512 are not
 comparable to a scalar-only runner, so when BASELINE is a *directory*
@@ -23,9 +29,17 @@ Exit codes: 0 ok, 1 regression found, 2 bad input.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
+
+# Ratios beyond this many scaled MADs from the median do not inform the
+# machine-speed factor (3 is the usual robust-statistics cutoff).
+OUTLIER_MADS = 3.0
+# Floor on that band, as a log ratio: when nearly every ratio is equal
+# the MAD is ~0 and would otherwise drop ordinary timing noise.
+MIN_BAND = math.log(1.10)
 
 
 def load_doc(path):
@@ -89,6 +103,20 @@ def resolve_baseline(baseline_arg, current_isa, prefix):
     return path
 
 
+def machine_speed(ratios):
+    """Robust machine-speed factor over current/baseline ratios.
+
+    Returns (factor, number of ratios it was taken over).
+    """
+    logs = [math.log(r) for r in ratios if r > 0]
+    center = statistics.median(logs)
+    mad = statistics.median(abs(x - center) for x in logs)
+    # 1.4826 * MAD estimates the standard deviation of normal noise.
+    band = max(OUTLIER_MADS * 1.4826 * mad, MIN_BAND)
+    inliers = [x for x in logs if abs(x - center) <= band]
+    return math.exp(statistics.median(inliers)), len(inliers)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("current", help="fresh bench_kernels JSON")
@@ -130,9 +158,10 @@ def main():
         print(f"check_perf: note: not in baseline (skipped): {name}")
 
     ratios = {n: current[n] / baseline[n] for n in shared}
-    scale = statistics.median(ratios.values())
+    scale, used = machine_speed(ratios.values())
     print(f"check_perf: machine-speed factor {scale:.3f} "
-          f"(median of {len(shared)} benchmarks)")
+          f"(median of {used} of {len(shared)} benchmarks, outliers "
+          f"dropped)")
 
     failed = []
     for name in shared:
