@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 #include <vector>
 
@@ -135,6 +136,51 @@ struct KernelTable
      */
     uint32_t (*crc32)(const uint8_t *p, size_t n, uint32_t seed);
 };
+
+/**
+ * One KernelTable primitive by name, for introspection (`tbstc
+ * cpuinfo` reports which level implements each). @c same tells
+ * whether two tables hold the same function for it.
+ */
+struct KernelPrimitive
+{
+    const char *name;
+    bool (*same)(const KernelTable &a, const KernelTable &b);
+};
+
+#define TBSTC_KERNEL_PRIMITIVE(field)                                   \
+    KernelPrimitive                                                     \
+    {                                                                   \
+        #field, [](const KernelTable &a, const KernelTable &b) {        \
+            return a.field == b.field;                                  \
+        }                                                               \
+    }
+
+/** Every KernelTable primitive, in declaration order. */
+inline constexpr KernelPrimitive kKernelPrimitives[] = {
+    TBSTC_KERNEL_PRIMITIVE(popcount),
+    TBSTC_KERNEL_PRIMITIVE(popcountAnd),
+    TBSTC_KERNEL_PRIMITIVE(popcountXor),
+    TBSTC_KERNEL_PRIMITIVE(andInplace),
+    TBSTC_KERNEL_PRIMITIVE(orInplace),
+    TBSTC_KERNEL_PRIMITIVE(xorInplace),
+    TBSTC_KERNEL_PRIMITIVE(bytePopcountAccum),
+    TBSTC_KERNEL_PRIMITIVE(rank8x8),
+    TBSTC_KERNEL_PRIMITIVE(rankTiles8),
+    TBSTC_KERNEL_PRIMITIVE(packIdx),
+    TBSTC_KERNEL_PRIMITIVE(unpackIdx),
+    TBSTC_KERNEL_PRIMITIVE(crc32),
+};
+
+#undef TBSTC_KERNEL_PRIMITIVE
+
+// A primitive added to KernelTable but not to kKernelPrimitives fails
+// here: the table is exactly its header plus one pointer per entry.
+static_assert(sizeof(KernelTable)
+                  == offsetof(KernelTable, popcount)
+                      + std::size(kKernelPrimitives)
+                          * sizeof(KernelTable::popcount),
+              "kKernelPrimitives must list every KernelTable entry");
 
 /** Detected CPU feature bits (cached after the first call). */
 const CpuFeatures &cpuFeatures();

@@ -1,8 +1,10 @@
 #include "config.hpp"
 
 #include <cmath>
+#include <variant>
 
 #include "jsonv.hpp"
+#include "util/flags.hpp"
 
 namespace tbstc::serve {
 
@@ -22,7 +24,7 @@ fieldError(std::string_view name, std::string_view what)
 
 /** Read an optional non-negative integer field into @p out. */
 util::Result<bool, std::string>
-u64Limit(const JsonValue &v, std::string_view name, uint64_t &out)
+readLimit(const JsonValue &v, std::string_view name, uint64_t &out)
 {
     if (!v.has(name))
         return false;
@@ -38,7 +40,7 @@ u64Limit(const JsonValue &v, std::string_view name, uint64_t &out)
 
 /** Read an optional non-negative number field into @p out. */
 util::Result<bool, std::string>
-numLimit(const JsonValue &v, std::string_view name, double &out)
+readLimit(const JsonValue &v, std::string_view name, double &out)
 {
     if (!v.has(name))
         return false;
@@ -50,6 +52,47 @@ numLimit(const JsonValue &v, std::string_view name, double &out)
     out = d;
     return true;
 }
+
+std::string limitText(uint64_t v) { return std::to_string(v); }
+std::string limitText(double v) { return jsonNumber(v); }
+
+/** One limit: its CLI flag, its JSON key, and the field it sets. */
+struct LimitField
+{
+    const char *flag;
+    const char *key;
+    std::variant<uint64_t ServeLimits::*, double ServeLimits::*> member;
+    const char *metavar;
+    const char *help;
+};
+
+/** Every limit, in flag-help, JSON-parse and JSON-render order. */
+const LimitField kLimitFields[] = {
+    {"queue", "queue_capacity", &ServeLimits::queueCapacity, "N",
+     "request-queue capacity = back-pressure threshold; overflow "
+     "answers busy + retry_after_ms"},
+    {"retry-after-ms", "retry_after_ms", &ServeLimits::retryAfterMs,
+     "MS", "base retry hint on busy rejections; grows with sustained "
+           "overload"},
+    {"idle-timeout-ms", "idle_timeout_ms", &ServeLimits::idleTimeoutMs,
+     "MS", "reap a connection idle this long; 0 = never"},
+    {"read-timeout-ms", "read_timeout_ms", &ServeLimits::readTimeoutMs,
+     "MS", "a started frame must complete within this window; "
+           "0 = no limit"},
+    {"write-timeout-ms", "write_timeout_ms",
+     &ServeLimits::writeTimeoutMs, "MS",
+     "a response write must complete within this window; "
+     "0 = no limit"},
+    {"max-conns", "max_connections", &ServeLimits::maxConnections, "N",
+     "live-connection cap; beyond it accepts are shed with an "
+     "'overloaded' error; 0 = off"},
+    {"rate", "rate_per_sec", &ServeLimits::ratePerSec, "R",
+     "per-connection token-bucket rate in req/s; 0 = off"},
+    {"burst", "rate_burst", &ServeLimits::rateBurst, "N",
+     "token-bucket burst size"},
+    {"max-inflight", "max_inflight", &ServeLimits::maxInflight, "N",
+     "per-connection cap on queued-but-unanswered requests; 0 = off"},
+};
 
 } // namespace
 
@@ -76,34 +119,13 @@ parseLimits(std::string_view json, const ServeLimits &base)
             std::string("limits must be a JSON object"));
 
     ServeLimits l = base;
-    uint64_t u = 0;
-    const JsonValue &v = *doc;
-
-    if (auto r = u64Limit(v, "queue_capacity", u); !r)
-        return util::unexpected(r.error());
-    else if (*r)
-        l.queueCapacity = static_cast<size_t>(u);
-    if (auto r = u64Limit(v, "retry_after_ms", l.retryAfterMs); !r)
-        return util::unexpected(r.error());
-    if (auto r = u64Limit(v, "idle_timeout_ms", l.idleTimeoutMs); !r)
-        return util::unexpected(r.error());
-    if (auto r = u64Limit(v, "read_timeout_ms", l.readTimeoutMs); !r)
-        return util::unexpected(r.error());
-    if (auto r = u64Limit(v, "write_timeout_ms", l.writeTimeoutMs); !r)
-        return util::unexpected(r.error());
-    if (auto r = u64Limit(v, "max_connections", u); !r)
-        return util::unexpected(r.error());
-    else if (*r)
-        l.maxConnections = static_cast<size_t>(u);
-    if (auto r = numLimit(v, "rate_per_sec", l.ratePerSec); !r)
-        return util::unexpected(r.error());
-    if (auto r = numLimit(v, "rate_burst", l.rateBurst); !r)
-        return util::unexpected(r.error());
-    if (auto r = u64Limit(v, "max_inflight", u); !r)
-        return util::unexpected(r.error());
-    else if (*r)
-        l.maxInflight = static_cast<size_t>(u);
-
+    for (const LimitField &f : kLimitFields) {
+        const auto read = std::visit(
+            [&](auto member) { return readLimit(*doc, f.key, l.*member); },
+            f.member);
+        if (!read)
+            return util::unexpected(read.error());
+    }
     return normalizeLimits(l);
 }
 
@@ -111,19 +133,29 @@ std::string
 limitsJson(const ServeLimits &l)
 {
     std::string out = "{";
-    out += "\"queue_capacity\": " + std::to_string(l.queueCapacity);
-    out += ", \"retry_after_ms\": " + std::to_string(l.retryAfterMs);
-    out += ", \"idle_timeout_ms\": " + std::to_string(l.idleTimeoutMs);
-    out += ", \"read_timeout_ms\": " + std::to_string(l.readTimeoutMs);
-    out += ", \"write_timeout_ms\": "
-        + std::to_string(l.writeTimeoutMs);
-    out += ", \"max_connections\": "
-        + std::to_string(l.maxConnections);
-    out += ", \"rate_per_sec\": " + jsonNumber(l.ratePerSec);
-    out += ", \"rate_burst\": " + jsonNumber(l.rateBurst);
-    out += ", \"max_inflight\": " + std::to_string(l.maxInflight);
+    for (const LimitField &f : kLimitFields) {
+        if (out.size() > 1)
+            out += ", ";
+        out += '"';
+        out += f.key;
+        out += "\": ";
+        out += std::visit(
+            [&](auto member) { return limitText(l.*member); }, f.member);
+    }
     out += "}";
     return out;
+}
+
+void
+declareLimitFlags(util::FlagSet &flags, ServeLimits &limits)
+{
+    for (const LimitField &f : kLimitFields)
+        std::visit(
+            [&](auto member) {
+                flags.option(f.flag, &(limits.*member), f.metavar,
+                             f.help);
+            },
+            f.member);
 }
 
 } // namespace tbstc::serve

@@ -14,19 +14,24 @@
  *
  * The JSON form (parseLimits/limitsJson) is both the `--config` file
  * format and the "limits" section of a stats response, so an operator
- * can always read back exactly what a live daemon is enforcing.
+ * can always read back exactly what a live daemon is enforcing. One
+ * field table in config.cpp names every limit's flag and JSON key and
+ * drives parseLimits, limitsJson and declareLimitFlags alike.
  */
 
 #ifndef TBSTC_SERVE_CONFIG_HPP
 #define TBSTC_SERVE_CONFIG_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "protocol.hpp"
 #include "util/result.hpp"
+
+namespace tbstc::util {
+class FlagSet;
+} // namespace tbstc::util
 
 namespace tbstc::serve {
 
@@ -38,7 +43,7 @@ namespace tbstc::serve {
 struct ServeLimits
 {
     /** Queue capacity = back-pressure threshold (full -> busy). */
-    size_t queueCapacity = 256;
+    uint64_t queueCapacity = 256;
 
     /** Base retry_after_ms hint; busy hints scale up under pressure. */
     uint64_t retryAfterMs = kDefaultRetryAfterMs;
@@ -62,7 +67,7 @@ struct ServeLimits
     uint64_t writeTimeoutMs = 10000;
 
     /** Accept-time cap on live connections; beyond it, shed. 0 = off. */
-    size_t maxConnections = 256;
+    uint64_t maxConnections = 256;
 
     /** Per-connection token-bucket refill rate (req/s). 0 = off. */
     double ratePerSec = 0.0;
@@ -71,7 +76,7 @@ struct ServeLimits
     double rateBurst = 64.0;
 
     /** Per-connection cap on queued-but-unanswered requests. 0 = off. */
-    size_t maxInflight = 0;
+    uint64_t maxInflight = 0;
 };
 
 /**
@@ -86,18 +91,22 @@ ServeLimits normalizeLimits(ServeLimits l);
 /**
  * Parse a limits document (the `--config` file / stats "limits"
  * shape): a JSON object whose recognized fields override @p base.
- * Unknown fields are ignored for forward compatibility; a field of
- * the wrong type or out of range is an error naming the field.
- *
- * Recognized fields (all optional): queue_capacity, retry_after_ms,
- * idle_timeout_ms, read_timeout_ms, write_timeout_ms,
- * max_connections, rate_per_sec, rate_burst, max_inflight.
+ * Every field is optional; the keys are those of limitsJson. Unknown
+ * fields are ignored for forward compatibility; a field of the wrong
+ * type or out of range is an error naming the field.
  */
 util::Result<ServeLimits, std::string>
 parseLimits(std::string_view json, const ServeLimits &base = {});
 
 /** Render @p l as the JSON object parseLimits accepts. */
 std::string limitsJson(const ServeLimits &l);
+
+/**
+ * Register one flag per limit (`--queue`, `--retry-after-ms`, ...)
+ * on @p flags, bound to the fields of @p limits, whose current values
+ * are the rendered defaults.
+ */
+void declareLimitFlags(util::FlagSet &flags, ServeLimits &limits);
 
 } // namespace tbstc::serve
 

@@ -1,12 +1,9 @@
 #include "exec.hpp"
 
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 
-#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/serialize.hpp"
 #include "util/crc32.hpp"
 #include "workload/synth.hpp"
@@ -15,60 +12,87 @@ namespace tbstc::serve {
 
 namespace {
 
-/** Row cap used by the formats/sparsify pipeline (matches the CLI). */
+using accel::AccelKind;
+using workload::ModelId;
+
+/** Row cap of the sparsify pipeline (`tbstc formats`, daemon sparsify). */
 constexpr uint64_t kSparsifyMaxRows = 4096;
+
+template <typename T>
+struct Named
+{
+    const char *name;
+    T value;
+};
+
+/** Wire/CLI accelerator names, in help order. */
+constexpr Named<accel::AccelKind> kAccelNames[] = {
+    {"tc", AccelKind::TC},         {"stc", AccelKind::STC},
+    {"vegeta", AccelKind::Vegeta}, {"highlight", AccelKind::HighLight},
+    {"rmstc", AccelKind::RmStc},   {"sgcn", AccelKind::Sgcn},
+    {"tbstc", AccelKind::TbStc},   {"fan", AccelKind::TbStcFan},
+};
+
+/** Wire/CLI model names, in help order. */
+constexpr Named<workload::ModelId> kModelNames[] = {
+    {"resnet50", ModelId::ResNet50}, {"resnet18", ModelId::ResNet18},
+    {"bert", ModelId::BertBase},     {"opt", ModelId::Opt67b},
+    {"llama", ModelId::Llama27b},
+};
+
+template <typename T, size_t N>
+std::optional<T>
+lookup(const Named<T> (&table)[N], const std::string &name)
+{
+    for (const Named<T> &e : table)
+        if (name == e.name)
+            return e.value;
+    return std::nullopt;
+}
+
+template <typename T, size_t N>
+std::string
+nameList(const Named<T> (&table)[N])
+{
+    std::string out;
+    for (const Named<T> &e : table)
+        out += out.empty() ? e.name : std::string(" ") + e.name;
+    return out;
+}
 
 } // namespace
 
 std::optional<accel::AccelKind>
 tryParseAccel(const std::string &name)
 {
-    static const std::map<std::string, accel::AccelKind> kinds{
-        {"tc", accel::AccelKind::TC},
-        {"stc", accel::AccelKind::STC},
-        {"vegeta", accel::AccelKind::Vegeta},
-        {"highlight", accel::AccelKind::HighLight},
-        {"rmstc", accel::AccelKind::RmStc},
-        {"sgcn", accel::AccelKind::Sgcn},
-        {"tbstc", accel::AccelKind::TbStc},
-        {"fan", accel::AccelKind::TbStcFan},
-    };
-    const auto it = kinds.find(name);
-    if (it == kinds.end())
-        return std::nullopt;
-    return it->second;
+    return lookup(kAccelNames, name);
 }
 
 std::string
 accelWireName(accel::AccelKind kind)
 {
-    switch (kind) {
-      case accel::AccelKind::TC:        return "tc";
-      case accel::AccelKind::STC:       return "stc";
-      case accel::AccelKind::Vegeta:    return "vegeta";
-      case accel::AccelKind::HighLight: return "highlight";
-      case accel::AccelKind::RmStc:     return "rmstc";
-      case accel::AccelKind::Sgcn:      return "sgcn";
-      case accel::AccelKind::TbStc:     return "tbstc";
-      case accel::AccelKind::TbStcFan:  return "fan";
-    }
+    for (const auto &e : kAccelNames)
+        if (e.value == kind)
+            return e.name;
     return "tbstc";
+}
+
+std::string
+accelNames()
+{
+    return nameList(kAccelNames);
 }
 
 std::optional<workload::ModelId>
 tryParseModel(const std::string &name)
 {
-    static const std::map<std::string, workload::ModelId> models{
-        {"resnet50", workload::ModelId::ResNet50},
-        {"resnet18", workload::ModelId::ResNet18},
-        {"bert", workload::ModelId::BertBase},
-        {"opt", workload::ModelId::Opt67b},
-        {"llama", workload::ModelId::Llama27b},
-    };
-    const auto it = models.find(name);
-    if (it == models.end())
-        return std::nullopt;
-    return it->second;
+    return lookup(kModelNames, name);
+}
+
+std::string
+modelNames()
+{
+    return nameList(kModelNames);
 }
 
 std::optional<workload::GemmShape>
@@ -144,34 +168,44 @@ executeRun(const RunSpec &spec)
                            spec.int8Weights, spec.seed);
 }
 
-SparsifyResult
-executeSparsify(const SparsifySpec &spec)
+util::Result<SparsifiedLayer, std::string>
+trySparsify(const SparsifySpec &spec, const std::string &shapeName)
 {
-    const auto shape = tryParseLayer(spec.layer, "cli.formats");
+    const auto shape = tryParseLayer(spec.layer, shapeName);
     if (!shape)
-        throw std::invalid_argument(
-            "layer spec must be XxYxNB, got '" + spec.layer + "'");
+        return util::unexpected("layer spec must be XxYxNB, got '"
+                                + spec.layer + "'");
     if (spec.m == 0 || spec.m > 64)
-        throw std::invalid_argument("block size m out of range");
+        return util::unexpected(std::string("block size m out of range"));
 
-    const auto w =
-        workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);
-    const auto scores = core::magnitudeScores(w);
-    // The validated search: "" and "greedy" both run core::tbsMask.
+    SparsifiedLayer out;
+    out.w = workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);
+    // The validated search: "" and "greedy" both run Algorithm 1.
     core::MaskRequest req;
     req.pattern = core::Pattern::TBS;
     req.strategy = spec.strategy;
     req.sparsity = spec.sparsity;
     req.m = static_cast<size_t>(spec.m);
-    const auto tbs = core::tryMakeMask(scores, req);
+    auto tbs = core::tryMakeMask(core::magnitudeScores(out.w), req);
     if (!tbs)
-        throw std::invalid_argument(tbs.error().message);
-    const auto bytes = format::serializeDdc(w, tbs->mask, tbs->meta);
+        return util::unexpected(tbs.error().message);
+    out.tbs = std::move(*tbs);
+    return out;
+}
+
+SparsifyResult
+executeSparsify(const SparsifySpec &spec)
+{
+    const auto layer = trySparsify(spec);
+    if (!layer)
+        throw std::invalid_argument(layer.error());
+    const core::MaskOutput &tbs = layer->tbs;
+    const auto bytes = format::serializeDdc(layer->w, tbs.mask, tbs.meta);
 
     SparsifyResult out;
-    out.rows = w.rows();
-    out.cols = w.cols();
-    out.nnz = tbs->mask.nnz();
+    out.rows = layer->w.rows();
+    out.cols = layer->w.cols();
+    out.nnz = tbs.mask.nnz();
     out.ddcBytes = bytes.size();
     out.ddcCrc32 = util::crc32(bytes);
     return out;

@@ -23,7 +23,9 @@
 #include <string>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "sim/pipeline.hpp"
+#include "util/result.hpp"
 #include "workload/models.hpp"
 
 namespace tbstc::serve {
@@ -75,8 +77,14 @@ std::optional<accel::AccelKind> tryParseAccel(const std::string &name);
 /** Kind -> the lowercase wire/CLI name tryParseAccel accepts. */
 std::string accelWireName(accel::AccelKind kind);
 
+/** Every name tryParseAccel accepts, space-separated (for help). */
+std::string accelNames();
+
 /** Model name -> id ("bert", "opt", ...); nullopt when unknown. */
 std::optional<workload::ModelId> tryParseModel(const std::string &name);
+
+/** Every name tryParseModel accepts, space-separated (for help). */
+std::string modelNames();
 
 /** "XxYxNB" -> shape (named @p name); nullopt when malformed. */
 std::optional<workload::GemmShape>
@@ -90,11 +98,30 @@ tryParseLayer(const std::string &spec, const std::string &name);
  */
 sim::RunStats executeRun(const RunSpec &spec);
 
+/** A sparsify request's synthesized weights and their TBS mask. */
+struct SparsifiedLayer
+{
+    core::Matrix w;
+    core::MaskOutput tbs; ///< Algorithm 1's mask and block metadata.
+};
+
 /**
- * Execute a sparsify request: synthesize the layer's weights, run
- * Algorithm 1 at the requested sparsity, serialize the DDC2 stream,
- * and summarize it. Matches `tbstc formats --dump` byte-for-byte
- * (same row cap), so ddcCrc32 equals the CRC of a dumped file.
+ * The sparsify pipeline: synthesize the layer's weights (row-capped)
+ * and run Algorithm 1 on their magnitudes. `tbstc formats` and
+ * executeSparsify both call it; a malformed spec comes back as a
+ * message. @p shapeName names the layer and so seeds its weights:
+ * the daemon always uses the default, while `tbstc formats` names an
+ * explicit --layer "cli.layer" (see docs/serving.md).
+ */
+util::Result<SparsifiedLayer, std::string>
+trySparsify(const SparsifySpec &spec,
+            const std::string &shapeName = "cli.formats");
+
+/**
+ * Execute a sparsify request: trySparsify, then serialize the DDC2
+ * stream and summarize it. For the default layer the stream is
+ * byte-identical to `tbstc formats --dump`. Throws
+ * std::invalid_argument on a malformed spec.
  */
 SparsifyResult executeSparsify(const SparsifySpec &spec);
 

@@ -17,6 +17,15 @@ flagError(FlagErrorKind kind, std::string flag, std::string message)
         FlagError{kind, std::move(flag), std::move(message)});
 }
 
+/** strtod over the whole token into @p out; false on junk. */
+bool
+parseDouble(const std::string &value, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(value.c_str(), &end);
+    return end != value.c_str() && *end == '\0';
+}
+
 } // namespace
 
 const char *
@@ -62,7 +71,10 @@ FlagSet &
 FlagSet::flag(const std::string &name, bool *out,
               const std::string &help)
 {
-    return add({name, "", help, Kind::Bool, false, false, out});
+    return add({.name = name, .help = help, .takesValue = false,
+                .assign = [out](const std::string &) {
+                    return *out = true;
+                }});
 }
 
 FlagSet &
@@ -70,7 +82,12 @@ FlagSet::option(const std::string &name, std::string *out,
                 const std::string &metavar, const std::string &help,
                 bool required)
 {
-    return add({name, metavar, help, Kind::Str, required, false, out});
+    return add({.name = name, .metavar = metavar, .help = help,
+                .defaultText = *out, .required = required,
+                .assign = [out](const std::string &value) {
+                    *out = value;
+                    return true;
+                }});
 }
 
 FlagSet &
@@ -78,15 +95,49 @@ FlagSet::option(const std::string &name, double *out,
                 const std::string &metavar, const std::string &help,
                 bool required)
 {
-    return add({name, metavar, help, Kind::F64, required, false, out});
+    return add({.name = name, .metavar = metavar, .help = help,
+                .defaultText = formatStr("{}", *out),
+                .expects = "a number", .required = required,
+                .assign = [out](const std::string &value) {
+                    return parseDouble(value, *out);
+                }});
 }
 
 FlagSet &
-FlagSet::option(const std::string &name, uint64_t *out,
-                const std::string &metavar, const std::string &help,
-                bool required)
+FlagSet::option(const std::string &name, std::optional<double> *out,
+                const std::string &metavar, const std::string &help)
 {
-    return add({name, metavar, help, Kind::U64, required, false, out});
+    return add({.name = name, .metavar = metavar, .help = help,
+                .defaultText = *out ? formatStr("{}", **out) : "",
+                .expects = "a number",
+                .assign = [out](const std::string &value) {
+                    return parseDouble(value, out->emplace());
+                }});
+}
+
+FlagSet &
+FlagSet::addUnsigned(const std::string &name, const std::string &metavar,
+                     const std::string &help, bool required,
+                     uint64_t initial, uint64_t max,
+                     std::function<void(uint64_t)> store)
+{
+    const bool full = max == std::numeric_limits<uint64_t>::max();
+    return add({.name = name, .metavar = metavar, .help = help,
+                .defaultText = std::to_string(initial),
+                .expects = full ? "a non-negative integer"
+                                : formatStr("an integer in [0, {}]", max),
+                .required = required,
+                .assign = [max, store = std::move(store)](
+                              const std::string &value) {
+                    char *end = nullptr;
+                    const unsigned long long v =
+                        std::strtoull(value.c_str(), &end, 10);
+                    if (end == value.c_str() || *end != '\0'
+                        || value.front() == '-' || v > max)
+                        return false;
+                    store(v);
+                    return true;
+                }});
 }
 
 FlagSet &
@@ -131,8 +182,8 @@ FlagSet::parse(int argc, char **argv, int first)
             return flagError(FlagErrorKind::UnknownFlag, name,
                              formatStr("unknown option --{}", name));
         spec->seen = true;
-        if (spec->kind == Kind::Bool) {
-            *static_cast<bool *>(spec->out) = true;
+        if (!spec->takesValue) {
+            spec->assign("");
             continue;
         }
         if (i + 1 >= argc)
@@ -141,38 +192,10 @@ FlagSet::parse(int argc, char **argv, int first)
                 formatStr("option --{} expects a {} value", name,
                           spec->metavar));
         const std::string value = argv[++i];
-        switch (spec->kind) {
-          case Kind::Str:
-            *static_cast<std::string *>(spec->out) = value;
-            break;
-          case Kind::F64: {
-            char *end = nullptr;
-            const double v = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0')
-                return flagError(
-                    FlagErrorKind::BadValue, name,
-                    formatStr("--{} expects a number, got '{}'", name,
-                              value));
-            *static_cast<double *>(spec->out) = v;
-            break;
-          }
-          case Kind::U64: {
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0'
-                || value.front() == '-')
-                return flagError(
-                    FlagErrorKind::BadValue, name,
-                    formatStr("--{} expects a non-negative integer, "
-                              "got '{}'",
-                              name, value));
-            *static_cast<uint64_t *>(spec->out) = v;
-            break;
-          }
-          case Kind::Bool:
-            break; // Handled above.
-        }
+        if (!spec->assign(value))
+            return flagError(FlagErrorKind::BadValue, name,
+                             formatStr("--{} expects {}, got '{}'", name,
+                                       spec->expects, value));
     }
 
     for (const auto &spec : specs_)
@@ -238,7 +261,11 @@ FlagSet::help() const
     for (const auto &spec : specs_) {
         out += "  " + left[i] + std::string(width - left[i].size(), ' ')
             + "  " + spec.help
-            + (spec.required ? " (required)" : "") + "\n";
+            + (spec.required ? " (required)" : "")
+            + (spec.required || spec.defaultText.empty()
+                   ? ""
+                   : " (default " + spec.defaultText + ")")
+            + "\n";
         ++i;
     }
     return out;

@@ -16,7 +16,11 @@
 #ifndef TBSTC_UTIL_FLAGS_HPP
 #define TBSTC_UTIL_FLAGS_HPP
 
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +33,7 @@ enum class FlagErrorKind : uint8_t
 {
     UnknownFlag,          ///< `--name` was never registered.
     MissingValue,         ///< Valued flag at the end of argv.
-    BadValue,             ///< Value failed numeric conversion.
+    BadValue,             ///< Value not a number, or out of range.
     MissingRequired,      ///< Required flag absent after parsing.
     UnexpectedPositional, ///< Bare word with no positional slot left.
     MissingPositional,    ///< Declared positional absent.
@@ -49,7 +53,9 @@ struct FlagError
 /**
  * One subcommand's flag registry. Register flags against caller-owned
  * variables (whose initial values double as the defaults), then call
- * parse(). Registration order is the help order.
+ * parse(). Registration order is the help order, and help() renders
+ * each valued option's default — "(default X)" — from the value its
+ * variable held at registration, so help text never restates one.
  */
 class FlagSet
 {
@@ -61,7 +67,7 @@ class FlagSet
     FlagSet &flag(const std::string &name, bool *out,
                   const std::string &help);
 
-    /** String-valued option. */
+    /** String-valued option; a non-empty initial value is shown. */
     FlagSet &option(const std::string &name, std::string *out,
                     const std::string &metavar, const std::string &help,
                     bool required = false);
@@ -71,10 +77,27 @@ class FlagSet
                     const std::string &metavar, const std::string &help,
                     bool required = false);
 
-    /** Unsigned-integer option (strtoull; rejects trailing junk). */
-    FlagSet &option(const std::string &name, uint64_t *out,
-                    const std::string &metavar, const std::string &help,
-                    bool required = false);
+    /** Floating-point option that stays unset unless given. */
+    FlagSet &option(const std::string &name, std::optional<double> *out,
+                    const std::string &metavar, const std::string &help);
+
+    /**
+     * Unsigned-integer option of any width (strtoull; rejects signs,
+     * trailing junk, and values above the type's maximum).
+     */
+    template <std::unsigned_integral T>
+        requires(!std::same_as<T, bool>)
+    FlagSet &
+    option(const std::string &name, T *out, const std::string &metavar,
+           const std::string &help, bool required = false)
+    {
+        return addUnsigned(name, metavar, help, required,
+                           static_cast<uint64_t>(*out),
+                           std::numeric_limits<T>::max(),
+                           [out](uint64_t v) {
+                               *out = static_cast<T>(v);
+                           });
+    }
 
     /** Bare-word positional argument, filled in declaration order. */
     FlagSet &positional(const std::string &name, std::string *out,
@@ -99,17 +122,18 @@ class FlagSet
     std::string help() const;
 
   private:
-    enum class Kind : uint8_t { Bool, Str, F64, U64 };
-
     struct Spec
     {
-        std::string name;
-        std::string metavar;
-        std::string help;
-        Kind kind = Kind::Bool;
+        std::string name{};
+        std::string metavar{};     ///< Empty for boolean switches.
+        std::string help{};
+        std::string defaultText{}; ///< Rendered as "(default X)".
+        std::string expects{};     ///< "a number", ... for BadValue.
+        bool takesValue = true;    ///< False for boolean switches.
         bool required = false;
         bool seen = false;
-        void *out = nullptr;
+        /** Store a value token; false when it does not convert. */
+        std::function<bool(const std::string &)> assign{};
     };
 
     struct Positional
@@ -123,6 +147,11 @@ class FlagSet
 
     Spec *find(const std::string &name);
     FlagSet &add(Spec spec);
+    FlagSet &addUnsigned(const std::string &name,
+                         const std::string &metavar,
+                         const std::string &help, bool required,
+                         uint64_t initial, uint64_t max,
+                         std::function<void(uint64_t)> store);
 
     std::string command_;
     std::string summary_;

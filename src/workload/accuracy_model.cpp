@@ -6,8 +6,8 @@
 #include <mutex>
 #include <tuple>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "synth.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -105,24 +105,19 @@ maskSimilarity(Pattern pattern, double sparsity, size_t m, uint64_t seed)
     constexpr size_t kDim = 256;
     const core::Matrix w =
         synthWeights({"similarity-probe", kDim, kDim, 1}, seed);
-    const core::Matrix scores = core::magnitudeScores(w);
-    const auto cand = core::defaultCandidates(m);
-    double sim;
-    if (pattern == Pattern::TBS) {
-        // tbsMask already measures its distance to the step-1
-        // unstructured mask; agreement = (size - hamming) / size is
-        // the identical integer arithmetic, without a second usMask.
-        const core::TbsResult res =
-            core::tbsMask(scores, sparsity, m, cand);
-        const size_t total = res.mask.size();
-        sim = static_cast<double>(total - res.usHamming)
-            / static_cast<double>(total);
-    } else {
-        const core::Mask us = core::usMask(scores, sparsity);
-        const core::Mask pat =
-            core::patternMask(pattern, scores, sparsity, m, cand);
-        sim = pat.agreement(us);
-    }
+    // Every family reports its distance to the same-sparsity
+    // unstructured mask; agreement = (size - hamming) / size is
+    // Mask::agreement's integer arithmetic without a second usMask.
+    core::MaskRequest req;
+    req.pattern = pattern;
+    req.sparsity = sparsity;
+    req.m = m;
+    const auto out = core::tryMakeMask(core::magnitudeScores(w), req);
+    if (!out)
+        util::panic("maskSimilarity: {}", out.error().message);
+    const size_t total = out->mask.size();
+    const double sim = static_cast<double>(total - out->usHamming)
+        / static_cast<double>(total);
     const std::lock_guard lk(cache_m);
     return cache.emplace(key, sim).first->second;
 }

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "serve/jsonv.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -549,6 +551,35 @@ TEST(ServeConfig, JsonRoundTripsThroughParse)
     EXPECT_DOUBLE_EQ(parsed->ratePerSec, l.ratePerSec);
     EXPECT_DOUBLE_EQ(parsed->rateBurst, l.rateBurst);
     EXPECT_EQ(parsed->maxInflight, l.maxInflight);
+}
+
+TEST(ServeConfig, LimitFlagsSetTheFieldsTheirJsonKeysName)
+{
+    ServeLimits viaFlags;
+    util::FlagSet flags("serve");
+    declareLimitFlags(flags, viaFlags);
+    std::vector<std::string> args{
+        "tbstc", "serve", "--queue", "17", "--retry-after-ms", "99",
+        "--idle-timeout-ms", "1000", "--read-timeout-ms", "2000",
+        "--write-timeout-ms", "3000", "--max-conns", "7", "--rate",
+        "2.5", "--burst", "4", "--max-inflight", "3"};
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    ASSERT_TRUE(
+        flags.parse(static_cast<int>(argv.size()), argv.data()).ok());
+
+    // The flags and the JSON keys reach the same fields, and the
+    // rendering keeps its field order and number formatting.
+    const std::string json =
+        R"({"queue_capacity": 17, "retry_after_ms": 99, )"
+        R"("idle_timeout_ms": 1000, "read_timeout_ms": 2000, )"
+        R"("write_timeout_ms": 3000, "max_connections": 7, )"
+        R"("rate_per_sec": 2.5, "rate_burst": 4, "max_inflight": 3})";
+    const auto viaJson = parseLimits(json);
+    ASSERT_TRUE(viaJson.ok()) << viaJson.error();
+    EXPECT_EQ(limitsJson(viaFlags), json);
+    EXPECT_EQ(limitsJson(*viaJson), json);
 }
 
 TEST(ServeConfig, StatsResponseReportsTheLiveLimits)

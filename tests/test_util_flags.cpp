@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,65 @@ TEST(Flags, HelpListsEveryRegisteredFlag)
     EXPECT_NE(help.find("(required)"), std::string::npos);
     EXPECT_NE(help.find("--switch"), std::string::npos);
     EXPECT_NE(help.find("the input file"), std::string::npos);
+}
+
+TEST(Flags, HelpRendersDefaultsFromBoundValues)
+{
+    std::string layer = "512x512x1";
+    std::string empty;
+    double ratio = 0.75;
+    uint64_t seed = 42;
+    std::optional<double> bw;
+    bool b = false;
+    FlagSet flags("sub");
+    flags.option("layer", &layer, "L", "a shape")
+        .option("empty", &empty, "S", "no default")
+        .option("ratio", &ratio, "R", "a ratio")
+        .option("seed", &seed, "N", "a seed")
+        .option("bw", &bw, "B", "unset until given")
+        .flag("switch", &b, "a switch");
+    const std::string help = flags.help();
+    EXPECT_NE(help.find("a shape (default 512x512x1)\n"), std::string::npos)
+        << help;
+    EXPECT_NE(help.find("no default\n"), std::string::npos);
+    EXPECT_NE(help.find("a ratio (default 0.75)\n"), std::string::npos);
+    EXPECT_NE(help.find("a seed (default 42)\n"), std::string::npos);
+    EXPECT_NE(help.find("unset until given\n"), std::string::npos);
+    EXPECT_NE(help.find("a switch\n"), std::string::npos);
+}
+
+TEST(Flags, OptionalDoubleIsSetOnlyWhenGiven)
+{
+    std::optional<double> bw;
+    FlagSet flags("sub");
+    flags.option("bw", &bw, "B", "");
+    Argv none({});
+    ASSERT_TRUE(flags.parse(none.argc(), none.argv()).ok());
+    EXPECT_FALSE(bw.has_value());
+    Argv given({"--bw", "12.5"});
+    ASSERT_TRUE(flags.parse(given.argc(), given.argv()).ok());
+    EXPECT_DOUBLE_EQ(bw.value_or(0.0), 12.5);
+    Argv junk({"--bw", "fast"});
+    const auto r = flags.parse(junk.argc(), junk.argv());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, FlagErrorKind::BadValue);
+}
+
+TEST(Flags, NarrowUnsignedRejectsValuesAboveItsMaximum)
+{
+    uint16_t port = 0;
+    size_t count = 3;
+    FlagSet flags("sub");
+    flags.option("port", &port, "N", "").option("count", &count, "N", "");
+    Argv ok({"--port", "65535", "--count", "9"});
+    ASSERT_TRUE(flags.parse(ok.argc(), ok.argv()).ok());
+    EXPECT_EQ(port, 65535u);
+    EXPECT_EQ(count, 9u);
+    Argv big({"--port", "65536"});
+    const auto r = flags.parse(big.argc(), big.argv());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, FlagErrorKind::BadValue);
+    EXPECT_EQ(r.error().flag, "port");
 }
 
 TEST(Flags, ValuesMayBeginWithDash)

@@ -2,25 +2,24 @@
  * @file
  * tbstc — command-line driver for the TB-STC simulator.
  *
- * Subcommands:
- *   run      simulate one model or one layer on one accelerator
- *   compare  simulate a workload on every accelerator
- *   formats  storage-format study (bytes, redundancy, bandwidth)
- *   fsck     validate a serialized DDC stream, report decode errors
- *   area     area/power breakdown of an accelerator
- *   cpuinfo  detected CPU features and the dispatched kernel table
- *   serve    daemon answering run/sparsify requests over a socket
- *   loadgen  drive a serve daemon with a deterministic request mix
+ * Subcommands are declared once, in the kCommands table at the end
+ * of this file, which drives dispatch, `tbstc help` and `tbstc help
+ * <command>`: run, compare, formats, fsck, area and cpuinfo drive the
+ * simulator; serve is the request daemon; loadgen and fuzz drive a
+ * running daemon.
  *
  * run and serve share the execution layer in src/serve/exec.*, so a
  * daemon response's csv field is byte-identical to the one-shot
  * `tbstc run --csv` data line for the same parameters (see
  * docs/serving.md).
  *
- * Every subcommand declares its flags in a util::FlagSet, so parsing,
- * validation, and `tbstc help <command>` output all come from one
- * declaration. Telemetry flags (--trace / --metrics) are shared by the
- * simulating subcommands and enable the src/obs subsystem for the run.
+ * Every subcommand declares its flags in a util::FlagSet, bound where
+ * possible to the library struct that owns their defaults (RunSpec,
+ * SparsifySpec, ServerOptions, ServeLimits, LoadgenOptions,
+ * FuzzOptions), so parsing, validation, and help output all come from
+ * one declaration. Telemetry flags (--trace / --metrics) are shared by
+ * the simulating subcommands and enable the src/obs subsystem for the
+ * run.
  *
  * Stream discipline: machine-consumable output (tables, CSV, fsck
  * verdict lines) goes to stdout; diagnostics go to stderr.
@@ -40,19 +39,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "accel/accelerator.hpp"
-#include "core/mask_search.hpp"
-#include "core/prune.hpp"
-#include "kernels/kernels.hpp"
-#include "core/sparsify.hpp"
 #include "format/encoding.hpp"
 #include "format/serialize.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
 #include "serve/config.hpp"
 #include "serve/exec.hpp"
@@ -65,7 +59,6 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
-#include "workload/synth.hpp"
 
 using namespace tbstc;
 
@@ -89,35 +82,22 @@ parseAccel(const std::string &name)
     return *kind;
 }
 
-workload::GemmShape
-parseLayer(const std::string &spec)
+/** Force the kernel ISA level named by an --isa flag, or exit 2. */
+void
+forceIsa(const std::string &isa)
 {
-    const auto shape = serve::tryParseLayer(spec, "cli.layer");
-    if (!shape)
-        fail("layer spec must be XxYxNB, got '" + spec + "'");
-    return *shape;
+    kernels::Isa level;
+    if (!kernels::parseIsa(isa, level))
+        fail("unknown ISA level '" + isa + "'");
+    if (!kernels::setIsa(level))
+        fail("ISA level '" + isa
+             + "' is not supported on this host (see 'tbstc cpuinfo')");
 }
 
-/**
- * Flags shared by the simulating subcommands (run/compare), bound to
- * one options struct. declare() registers them on a FlagSet in a fixed
- * order so help output is uniform across subcommands.
- */
-struct SimOpts
+/** Host-execution flags shared by run, compare and serve. */
+struct HostOpts
 {
-    std::string model;
-    std::string layer;
-    double sparsity = 0.5;
-    uint64_t seq = 128;
-    uint64_t seed = 42;
-    double bw = 0.0;
-    bool int8 = false;
-    bool full = false;
     uint64_t threads = 0;
-    bool csv = false;
-    std::string tracePath;
-    std::string metricsPath;
-    bool metricsHost = false;
     std::string profileCache;
     bool noCache = false;
     std::string isa;
@@ -126,32 +106,9 @@ struct SimOpts
     declare(util::FlagSet &flags)
     {
         flags
-            .option("model", &model, "M",
-                    "workload model: resnet50 resnet18 bert opt llama")
-            .option("layer", &layer, "XxYxNB",
-                    "simulate one GEMM layer instead of a model")
-            .option("sparsity", &sparsity, "S",
-                    "weight sparsity degree (default 0.5)")
-            .option("seq", &seq, "N",
-                    "sequence length for transformers (default 128)")
-            .option("bw", &bw, "GB/s", "override off-chip bandwidth")
-            .flag("int8", &int8, "8-bit weights (Q+S mode)")
-            .flag("full", &full,
-                  "include dense attention GEMMs (inference)")
-            .option("seed", &seed, "N",
-                    "weight-synthesis seed (default 42)")
             .option("threads", &threads, "N",
-                    "worker threads (default TBSTC_THREADS or all "
-                    "cores; 1 = serial; results identical at any "
-                    "setting)")
-            .flag("csv", &csv, "machine-readable output")
-            .option("trace", &tracePath, "FILE",
-                    "write a chrome://tracing event trace")
-            .option("metrics", &metricsPath, "FILE",
-                    "write the deterministic metrics JSON")
-            .flag("metrics-host", &metricsHost,
-                  "include host-domain (schedule-dependent) metrics "
-                  "in --metrics output")
+                    "worker threads; 0 = TBSTC_THREADS or all cores, "
+                    "1 = serial; results identical at any setting")
             .option("profile-cache", &profileCache, "DIR",
                     "persist profile/sim results to DIR and reuse "
                     "them across runs (also: TBSTC_PROFILE_CACHE)")
@@ -159,23 +116,77 @@ struct SimOpts
                   "disable the in-memory and on-disk result caches")
             .option("isa", &isa, "L",
                     "force the kernel ISA level: scalar avx2 avx512 "
-                    "neon native (default: best supported; also "
-                    "TBSTC_ISA — see 'tbstc cpuinfo')");
+                    "neon native; unset = TBSTC_ISA or the best "
+                    "supported (see 'tbstc cpuinfo')");
     }
 
-    /** Turn on the obs subsystem for the flags that need it. */
     void
-    enableTelemetry() const
+    apply() const
     {
-        if (!isa.empty()) {
-            kernels::Isa level;
-            if (!kernels::parseIsa(isa, level))
-                fail("unknown ISA level '" + isa + "'");
-            if (!kernels::setIsa(level))
-                fail("ISA level '" + isa
-                     + "' is not supported on this host "
-                       "(see 'tbstc cpuinfo')");
-        }
+        if (!isa.empty())
+            forceIsa(isa);
+        if (threads > 0)
+            util::setThreads(threads);
+        if (noCache)
+            util::ContentStore::instance().setEnabled(false);
+        else if (!profileCache.empty())
+            util::ContentStore::instance().setDiskDir(profileCache);
+    }
+};
+
+/**
+ * Flags shared by the simulating subcommands (run/compare), bound to
+ * the serve::RunSpec both execute. declare() registers them on a
+ * FlagSet in a fixed order so help output is uniform across
+ * subcommands.
+ */
+struct SimOpts
+{
+    serve::RunSpec spec;
+    bool csv = false;
+    std::string tracePath;
+    std::string metricsPath;
+    bool metricsHost = false;
+    HostOpts host;
+
+    void
+    declare(util::FlagSet &flags)
+    {
+        flags
+            .option("model", &spec.model, "M",
+                    "workload model: " + serve::modelNames())
+            .option("layer", &spec.layer, "XxYxNB",
+                    "simulate one GEMM layer instead of a model")
+            .option("sparsity", &spec.sparsity, "S",
+                    "weight sparsity degree")
+            .option("seq", &spec.seq, "N",
+                    "sequence length for transformers")
+            .option("bw", &spec.bw, "GB/s", "override off-chip bandwidth")
+            .flag("int8", &spec.int8Weights, "8-bit weights (Q+S mode)")
+            .flag("full", &spec.full,
+                  "include dense attention GEMMs (inference)")
+            .option("seed", &spec.seed, "N", "weight-synthesis seed")
+            .flag("csv", &csv, "machine-readable output")
+            .option("trace", &tracePath, "FILE",
+                    "write a chrome://tracing event trace")
+            .option("metrics", &metricsPath, "FILE",
+                    "write the deterministic metrics JSON")
+            .flag("metrics-host", &metricsHost,
+                  "include host-domain (schedule-dependent) metrics "
+                  "in --metrics output");
+        host.declare(flags);
+    }
+
+    /**
+     * Apply the host flags, turn on the obs subsystem for the flags
+     * that need it, and reject a spec that names no workload or an
+     * unknown one, so bad input keeps its exit-2 diagnostic instead of
+     * surfacing as a caught exception (exit 1).
+     */
+    void
+    prepare() const
+    {
+        host.apply();
         if (!tracePath.empty())
             obs::setTracingEnabled(true);
         if (!metricsPath.empty())
@@ -184,12 +195,21 @@ struct SimOpts
         // level is fixed per run, so the gauge is deterministic.
         obs::gauge("kernels.isa")
             .record(static_cast<int64_t>(kernels::activeIsa()));
-        if (threads > 0)
-            util::setThreads(threads);
-        if (noCache)
-            util::ContentStore::instance().setEnabled(false);
-        else if (!profileCache.empty())
-            util::ContentStore::instance().setDiskDir(profileCache);
+        if (spec.layer.empty() && spec.model.empty())
+            fail("need --model or --layer");
+        if (!spec.model.empty() && !serve::tryParseModel(spec.model))
+            fail("unknown model '" + spec.model + "'");
+        if (!spec.layer.empty()
+            && !serve::tryParseLayer(spec.layer, "cli.layer"))
+            fail("layer spec must be XxYxNB, got '" + spec.layer + "'");
+    }
+
+    sim::RunStats
+    run(accel::AccelKind kind) const
+    {
+        serve::RunSpec one = spec;
+        one.kind = kind;
+        return serve::executeRun(one);
     }
 
     /** Write requested telemetry files; returns 0 or an exit code. */
@@ -239,79 +259,34 @@ printStats(const std::string &label, const sim::RunStats &s, bool csv)
     std::fputs(serve::formatStats(label, s, csv).c_str(), stdout);
 }
 
-sim::RunStats
-runOne(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
-{
-    serve::RunSpec spec;
-    spec.kind = kind;
-    spec.model = opts.model;
-    spec.layer = opts.layer;
-    spec.sparsity = opts.sparsity;
-    spec.seq = opts.seq;
-    spec.seed = opts.seed;
-    spec.int8Weights = opts.int8;
-    spec.full = opts.full;
-    if (bw_set)
-        spec.bw = opts.bw;
-    // Validate names here so bad input keeps its exit-2 diagnostic
-    // instead of surfacing as a caught exception (exit 1).
-    if (spec.layer.empty() && spec.model.empty())
-        fail("need --model or --layer");
-    if (!spec.model.empty() && !serve::tryParseModel(spec.model))
-        fail("unknown model '" + spec.model + "'");
-    if (!spec.layer.empty())
-        parseLayer(spec.layer);
-    return serve::executeRun(spec);
-}
-
-util::FlagSet
-runFlags(SimOpts &opts, std::string &accel)
-{
-    util::FlagSet flags(
-        "run", "Simulate one model or layer on one accelerator.");
-    flags.option("accel", &accel, "K",
-                 "accelerator: tc stc vegeta highlight rmstc sgcn "
-                 "tbstc fan",
-                 /*required=*/true);
-    opts.declare(flags);
-    return flags;
-}
-
 int
-cmdRun(int argc, char **argv)
+cmdRun(util::FlagSet &flags, int argc, char **argv)
 {
     SimOpts opts;
     std::string accel;
-    util::FlagSet flags = runFlags(opts, accel);
+    flags.option("accel", &accel, "K",
+                 "accelerator: " + serve::accelNames(),
+                 /*required=*/true);
+    opts.declare(flags);
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    opts.enableTelemetry();
+    opts.prepare();
 
     const auto kind = parseAccel(accel);
     if (opts.csv)
         std::fputs(serve::statsCsvHeader().c_str(), stdout);
-    printStats(accel::accelName(kind),
-               runOne(kind, opts, flags.seen("bw")), opts.csv);
+    printStats(accel::accelName(kind), opts.run(kind), opts.csv);
     return opts.writeTelemetry();
 }
 
-util::FlagSet
-compareFlags(SimOpts &opts)
-{
-    util::FlagSet flags(
-        "compare", "Simulate a workload on every accelerator.");
-    opts.declare(flags);
-    return flags;
-}
-
 int
-cmdCompare(int argc, char **argv)
+cmdCompare(util::FlagSet &flags, int argc, char **argv)
 {
     SimOpts opts;
-    util::FlagSet flags = compareFlags(opts);
+    opts.declare(flags);
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    opts.enableTelemetry();
+    opts.prepare();
 
     if (opts.csv)
         std::fputs(serve::statsCsvHeader().c_str(), stdout);
@@ -322,49 +297,35 @@ cmdCompare(int argc, char **argv)
         accel::AccelKind::TbStc};
     // One independent simulation per accelerator: fan out, print in
     // the fixed order.
-    const bool bw_set = flags.seen("bw");
     const auto stats = util::parallelMap<sim::RunStats>(
-        kinds.size(),
-        [&](size_t i) { return runOne(kinds[i], opts, bw_set); });
+        kinds.size(), [&](size_t i) { return opts.run(kinds[i]); });
     for (size_t i = 0; i < kinds.size(); ++i)
         printStats(accel::accelName(kinds[i]), stats[i], opts.csv);
     return opts.writeTelemetry();
 }
 
 int
-cmdFormats(int argc, char **argv)
+cmdFormats(util::FlagSet &flags, int argc, char **argv)
 {
-    std::string layer;
-    double sparsity = 0.75;
-    uint64_t seed = 42;
+    serve::SparsifySpec spec;
     std::string dump;
-    util::FlagSet flags(
-        "formats",
-        "Storage-format study: bytes, redundancy, bandwidth.");
     flags
-        .option("layer", &layer, "XxYxNB",
-                "weight-matrix shape (default 512x512x1)")
-        .option("sparsity", &sparsity, "S",
-                "weight sparsity degree (default 0.75)")
-        .option("seed", &seed, "N", "weight-synthesis seed (default 42)")
+        .option("layer", &spec.layer, "XxYxNB", "weight-matrix shape")
+        .option("sparsity", &spec.sparsity, "S",
+                "weight sparsity degree")
+        .option("seed", &spec.seed, "N", "weight-synthesis seed")
         .option("dump", &dump, "FILE", "write the DDC byte stream");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
 
-    const auto shape = !layer.empty()
-        ? parseLayer(layer)
-        : workload::GemmShape{"cli.formats", 512, 512, 1};
-
-    const auto w = workload::synthWeights(shape, seed, 4096);
-    const auto scores = core::magnitudeScores(w);
-    core::MaskRequest mreq;
-    mreq.pattern = core::Pattern::TBS;
-    mreq.sparsity = sparsity;
-    mreq.m = 8;
-    const auto searched = core::tryMakeMask(scores, mreq);
-    if (!searched)
-        fail(searched.error().message);
-    const core::MaskOutput &tbs = *searched;
+    // An explicit --layer is synthesized under the name run's --layer
+    // uses; only the default shape matches the daemon's sparsify.
+    const auto layer = serve::trySparsify(
+        spec, flags.seen("layer") ? "cli.layer" : "cli.formats");
+    if (!layer)
+        fail(layer.error());
+    const core::Matrix &w = layer->w;
+    const core::MaskOutput &tbs = layer->tbs;
     const sim::DramModel dram{sim::ArchConfig{}};
 
     util::Table t({"format", "bytes", "redundancy", "segments",
@@ -387,7 +348,7 @@ cmdFormats(int argc, char **argv)
     std::printf("TBS mask on %llux%llu at %.1f%% sparsity:\n",
                 static_cast<unsigned long long>(w.rows()),
                 static_cast<unsigned long long>(w.cols()),
-                sparsity * 100.0);
+                spec.sparsity * 100.0);
     t.print();
 
     if (!dump.empty()) {
@@ -413,13 +374,9 @@ cmdFormats(int argc, char **argv)
  * stderr. Exit 0 only for a stream the hardened decoder fully accepts.
  */
 int
-cmdFsck(int argc, char **argv)
+cmdFsck(util::FlagSet &flags, int argc, char **argv)
 {
     std::string path;
-    util::FlagSet flags(
-        "fsck",
-        "Validate a dumped DDC stream; prints the decode-error class "
-        "and byte offset, exits non-zero on corruption.");
     flags.positional("FILE", &path, "serialized DDC stream to check");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
@@ -453,14 +410,11 @@ cmdFsck(int argc, char **argv)
 }
 
 int
-cmdArea(int argc, char **argv)
+cmdArea(util::FlagSet &flags, int argc, char **argv)
 {
     std::string accel;
-    util::FlagSet flags("area",
-                        "Area/power breakdown of an accelerator.");
     flags.option("accel", &accel, "K",
-                 "accelerator: tc stc vegeta highlight rmstc sgcn "
-                 "tbstc fan",
+                 "accelerator: " + serve::accelNames(),
                  /*required=*/true);
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
@@ -484,26 +438,16 @@ cmdArea(int argc, char **argv)
  * rank8x8 — so each row names the level that actually implements it).
  */
 int
-cmdCpuinfo(int argc, char **argv)
+cmdCpuinfo(util::FlagSet &flags, int argc, char **argv)
 {
     std::string isa;
-    util::FlagSet flags(
-        "cpuinfo",
-        "Report detected CPU features and the dispatched kernel "
-        "table.");
     flags.option("isa", &isa, "L",
                  "report the table for this level instead of the "
                  "dispatched one: scalar avx2 avx512 neon native");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (!isa.empty()) {
-        kernels::Isa level;
-        if (!kernels::parseIsa(isa, level))
-            fail("unknown ISA level '" + isa + "'");
-        if (!kernels::setIsa(level))
-            fail("ISA level '" + isa
-                 + "' is not supported on this host");
-    }
+    if (!isa.empty())
+        forceIsa(isa);
 
     const kernels::CpuFeatures &f = kernels::cpuFeatures();
     const std::vector<std::pair<const char *, bool>> features{
@@ -538,69 +482,19 @@ cmdCpuinfo(int argc, char **argv)
                     : " (dispatched)");
 
     const kernels::KernelTable &active = kernels::active();
-    const std::vector<
-        std::pair<const char *,
-                  const void *(*)(const kernels::KernelTable &)>>
-        prims{
-            {"popcount",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.popcount);
-             }},
-            {"popcountAnd",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.popcountAnd);
-             }},
-            {"popcountXor",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.popcountXor);
-             }},
-            {"andInplace",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.andInplace);
-             }},
-            {"orInplace",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.orInplace);
-             }},
-            {"xorInplace",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.xorInplace);
-             }},
-            {"bytePopcountAccum",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(
-                     t.bytePopcountAccum);
-             }},
-            {"rank8x8",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.rank8x8);
-             }},
-            {"packIdx",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.packIdx);
-             }},
-            {"unpackIdx",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.unpackIdx);
-             }},
-            {"crc32",
-             [](const kernels::KernelTable &t) {
-                 return reinterpret_cast<const void *>(t.crc32);
-             }},
-        };
     std::printf("kernel table (%s):\n", active.name);
-    for (const auto &[name, get] : prims) {
+    for (const kernels::KernelPrimitive &prim : kernels::kKernelPrimitives) {
         // Provenance: the lowest level whose table holds the same
         // function pointer.
         const char *from = active.name;
         for (const kernels::Isa level : kernels::supportedIsas()) {
             const kernels::KernelTable *t = kernels::kernelTableFor(level);
-            if (t != nullptr && get(*t) == get(active)) {
+            if (t != nullptr && prim.same(*t, active)) {
                 from = t->name;
                 break;
             }
         }
-        std::printf("  %-18s %s\n", name, from);
+        std::printf("  %-18s %s\n", prim.name, from);
     }
     return 0;
 }
@@ -613,93 +507,30 @@ cmdCpuinfo(int argc, char **argv)
  * one machine-parseable line; see docs/serving.md for the protocol.
  */
 int
-cmdServe(int argc, char **argv)
+cmdServe(util::FlagSet &flags, int argc, char **argv)
 {
-    const serve::ServeLimits defaults;
-    std::string socket;
-    uint64_t port = 0;
-    uint64_t queueCap = defaults.queueCapacity;
-    uint64_t maxBatch = 32;
-    uint64_t retryAfterMs = defaults.retryAfterMs;
-    uint64_t idleTimeoutMs = defaults.idleTimeoutMs;
-    uint64_t readTimeoutMs = defaults.readTimeoutMs;
-    uint64_t writeTimeoutMs = defaults.writeTimeoutMs;
-    uint64_t maxConns = defaults.maxConnections;
-    double rate = defaults.ratePerSec;
-    double burst = defaults.rateBurst;
-    uint64_t maxInflight = defaults.maxInflight;
-    uint64_t threads = 0;
+    serve::ServerOptions sopts;
     std::string configPath;
-    std::string metricsPath;
-    std::string profileCache;
-    bool noCache = false;
-    std::string isa;
-    util::FlagSet flags(
-        "serve",
-        "Serve run/sparsify requests concurrently over a socket.");
+    HostOpts host;
     flags
-        .option("socket", &socket, "PATH",
-                "listen on a unix socket (default: TCP on 127.0.0.1)")
-        .option("port", &port, "N",
-                "TCP port (default 0 = ephemeral; printed at start)")
-        .option("queue", &queueCap, "N",
-                "request-queue capacity = back-pressure threshold "
-                "(default 256; overflow answers busy + retry_after_ms)")
-        .option("max-batch", &maxBatch, "N",
-                "max requests coalesced per execution (default 32)")
-        .option("retry-after-ms", &retryAfterMs, "MS",
-                "base retry hint on busy rejections (default 50; "
-                "grows with sustained overload)")
-        .option("idle-timeout-ms", &idleTimeoutMs, "MS",
-                "reap a connection idle this long (default 30000; "
-                "0 = never)")
-        .option("read-timeout-ms", &readTimeoutMs, "MS",
-                "a started frame must complete within this window "
-                "(default 10000; 0 = no limit)")
-        .option("write-timeout-ms", &writeTimeoutMs, "MS",
-                "a response write must complete within this window "
-                "(default 10000; 0 = no limit)")
-        .option("max-conns", &maxConns, "N",
-                "live-connection cap; beyond it accepts are shed with "
-                "an 'overloaded' error (default 256; 0 = off)")
-        .option("rate", &rate, "R",
-                "per-connection token-bucket rate in req/s "
-                "(default 0 = off)")
-        .option("burst", &burst, "N",
-                "token-bucket burst size (default 64)")
-        .option("max-inflight", &maxInflight, "N",
-                "per-connection cap on queued-but-unanswered requests "
-                "(default 0 = off)")
+        .option("socket", &sopts.socketPath, "PATH",
+                "listen on a unix socket instead of TCP on 127.0.0.1")
+        .option("port", &sopts.tcpPort, "N",
+                "TCP port; 0 = ephemeral, printed at start")
+        .option("max-batch", &sopts.maxBatch, "N",
+                "max requests coalesced per execution");
+    serve::declareLimitFlags(flags, sopts.limits);
+    flags
         .option("config", &configPath, "FILE",
                 "limits JSON overriding the flags above (see "
                 "docs/serving.md); re-read and re-applied on SIGHUP "
                 "without dropping connections")
-        .option("threads", &threads, "N",
-                "worker threads for request execution")
-        .option("metrics", &metricsPath, "FILE",
+        .option("metrics", &sopts.metricsPath, "FILE",
                 "write the final metrics JSON (host domain included) "
-                "after the drain")
-        .option("profile-cache", &profileCache, "DIR",
-                "persist profile/sim results to DIR and reuse them")
-        .flag("no-cache", &noCache,
-              "disable the in-memory and on-disk result caches")
-        .option("isa", &isa, "L",
-                "force the kernel ISA level (see 'tbstc cpuinfo')");
+                "after the drain");
+    host.declare(flags);
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (port > 65535)
-        fail("--port must be <= 65535");
-
-    serve::ServeLimits limits;
-    limits.queueCapacity = queueCap;
-    limits.retryAfterMs = retryAfterMs;
-    limits.idleTimeoutMs = idleTimeoutMs;
-    limits.readTimeoutMs = readTimeoutMs;
-    limits.writeTimeoutMs = writeTimeoutMs;
-    limits.maxConnections = maxConns;
-    limits.ratePerSec = rate;
-    limits.rateBurst = burst;
-    limits.maxInflight = maxInflight;
 
     // The config file overrides the flags (at startup and again on
     // every SIGHUP); fields it omits keep their flag/default values.
@@ -715,25 +546,13 @@ cmdServe(int argc, char **argv)
         return serve::parseLimits(text.str(), base);
     };
     if (!configPath.empty()) {
-        const auto parsed = loadConfig(limits);
+        const auto parsed = loadConfig(sopts.limits);
         if (!parsed)
             fail(parsed.error());
-        limits = *parsed;
+        sopts.limits = *parsed;
     }
 
-    if (!isa.empty()) {
-        kernels::Isa level;
-        if (!kernels::parseIsa(isa, level)
-            || !kernels::setIsa(level))
-            fail("ISA level '" + isa
-                 + "' is unknown or unsupported on this host");
-    }
-    if (threads > 0)
-        util::setThreads(threads);
-    if (noCache)
-        util::ContentStore::instance().setEnabled(false);
-    else if (!profileCache.empty())
-        util::ContentStore::instance().setDiskDir(profileCache);
+    host.apply();
     // Live `stats` responses embed the metrics export, so recording
     // is always on while serving.
     obs::setMetricsEnabled(true);
@@ -749,12 +568,6 @@ cmdServe(int argc, char **argv)
     sigaddset(&sigs, SIGHUP);
     pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
-    serve::ServerOptions sopts;
-    sopts.socketPath = socket;
-    sopts.tcpPort = static_cast<uint16_t>(port);
-    sopts.maxBatch = maxBatch;
-    sopts.metricsPath = metricsPath;
-    sopts.limits = limits;
     serve::Server server(sopts);
     const auto started = server.start();
     if (!started) {
@@ -762,11 +575,11 @@ cmdServe(int argc, char **argv)
                      started.error().c_str());
         return 1;
     }
-    if (socket.empty())
+    if (sopts.socketPath.empty())
         std::printf("listening tcp 127.0.0.1:%u\n",
                     static_cast<unsigned>(*started));
     else
-        std::printf("listening unix %s\n", socket.c_str());
+        std::printf("listening unix %s\n", sopts.socketPath.c_str());
     std::fflush(stdout);
 
     std::thread sigThread([&] {
@@ -825,63 +638,42 @@ cmdServe(int argc, char **argv)
  * the in-process re-execution byte-for-byte.
  */
 int
-cmdLoadgen(int argc, char **argv)
+cmdLoadgen(util::FlagSet &flags, int argc, char **argv)
 {
-    std::string socket;
-    uint64_t port = 0;
-    uint64_t clients = 8;
-    uint64_t requests = 200;
-    uint64_t seed = 42;
-    uint64_t chaosClients = 0;
-    uint64_t chaosSeed = 1337;
+    serve::LoadgenOptions lopts;
     bool json = false;
-    bool verify = false;
     bool printMix = false;
-    util::FlagSet flags(
-        "loadgen",
-        "Drive a serve daemon with a deterministic request mix.");
-    flags
-        .option("socket", &socket, "PATH", "daemon unix socket")
-        .option("port", &port, "N", "daemon TCP port on 127.0.0.1")
-        .option("clients", &clients, "N",
-                "concurrent closed-loop connections (default 8)")
-        .option("requests", &requests, "N",
-                "total requests across all clients (default 200)")
-        .option("seed", &seed, "N", "mix derivation seed (default 42)")
-        .option("chaos", &chaosClients, "N",
+    flags.option("socket", &lopts.socketPath, "PATH", "daemon unix socket")
+        .option("port", &lopts.port, "N", "daemon TCP port on 127.0.0.1")
+        .option("clients", &lopts.clients, "N",
+                "concurrent closed-loop connections")
+        .option("requests", &lopts.totalRequests, "N",
+                "total requests across all clients")
+        .option("seed", &lopts.seed, "N", "mix derivation seed")
+        .option("chaos", &lopts.chaosClients, "N",
                 "hostile clients sending corrupted frames alongside "
-                "the honest load (default 0)")
-        .option("chaos-seed", &chaosSeed, "N",
-                "chaos mutation derivation seed (default 1337)")
+                "the honest load")
+        .option("chaos-seed", &lopts.chaosSeed, "N",
+                "chaos mutation derivation seed")
         .flag("json", &json,
               "print the tbstc.loadgen.v1 JSON document")
-        .flag("verify", &verify,
+        .flag("verify", &lopts.verify,
               "re-execute each distinct request in-process and demand "
               "byte-identical csv output")
         .flag("print-mix", &printMix,
               "print the one-shot command for each mix entry and exit");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (port > 65535)
-        fail("--port must be <= 65535");
 
     if (printMix) {
-        for (const auto &req : serve::buildMix(requests, seed))
+        for (const auto &req :
+             serve::buildMix(lopts.totalRequests, lopts.seed))
             std::puts(serve::oneShotCommand(req).c_str());
         return 0;
     }
-    if (socket.empty() && port == 0)
+    if (lopts.socketPath.empty() && lopts.port == 0)
         fail("need --socket or --port");
 
-    serve::LoadgenOptions lopts;
-    lopts.socketPath = socket;
-    lopts.port = static_cast<uint16_t>(port);
-    lopts.clients = clients;
-    lopts.totalRequests = requests;
-    lopts.seed = seed;
-    lopts.verify = verify;
-    lopts.chaosClients = chaosClients;
-    lopts.chaosSeed = chaosSeed;
     const auto stats = serve::runLoadgen(lopts);
     if (!stats) {
         std::fprintf(stderr, "tbstc loadgen: %s\n",
@@ -903,7 +695,7 @@ cmdLoadgen(int argc, char **argv)
             static_cast<unsigned long long>(stats->mismatched),
             stats->reqPerSec, stats->p50Ms, stats->p95Ms, stats->p99Ms,
             stats->elapsedSeconds);
-        if (chaosClients > 0)
+        if (lopts.chaosClients > 0)
             std::printf("chaos_frames=%llu chaos_probes_ok=%llu\n",
                         static_cast<unsigned long long>(
                             stats->chaosFrames),
@@ -922,40 +714,22 @@ cmdLoadgen(int argc, char **argv)
  * corrupted frames was answered with the clean-connection bytes.
  */
 int
-cmdFuzz(int argc, char **argv)
+cmdFuzz(util::FlagSet &flags, int argc, char **argv)
 {
-    std::string socket;
-    uint64_t port = 0;
-    uint64_t seed = 1;
-    uint64_t sessions = 125;
-    uint64_t frames = 8;
+    serve::FuzzOptions fopts;
     bool json = false;
-    util::FlagSet flags(
-        "fuzz",
-        "Fuzz a serve daemon's wire protocol with seeded corruption.");
-    flags
-        .option("socket", &socket, "PATH", "daemon unix socket")
-        .option("port", &port, "N", "daemon TCP port on 127.0.0.1")
-        .option("seed", &seed, "N",
-                "mutation derivation seed (default 1)")
-        .option("sessions", &sessions, "N",
-                "connections fuzzed (default 125)")
-        .option("frames", &frames, "N",
-                "mutated frames per session (default 8)")
+    flags.option("socket", &fopts.socketPath, "PATH", "daemon unix socket")
+        .option("port", &fopts.port, "N", "daemon TCP port on 127.0.0.1")
+        .option("seed", &fopts.seed, "N", "mutation derivation seed")
+        .option("sessions", &fopts.sessions, "N", "connections fuzzed")
+        .option("frames", &fopts.framesPerSession, "N",
+                "mutated frames per session")
         .flag("json", &json, "print the tbstc.fuzz.v1 JSON document");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (port > 65535)
-        fail("--port must be <= 65535");
-    if (socket.empty() && port == 0)
+    if (fopts.socketPath.empty() && fopts.port == 0)
         fail("need --socket or --port");
 
-    serve::FuzzOptions fopts;
-    fopts.socketPath = socket;
-    fopts.port = static_cast<uint16_t>(port);
-    fopts.seed = seed;
-    fopts.sessions = sessions;
-    fopts.framesPerSession = frames;
     const auto stats = serve::runProtocolFuzz(fopts);
     if (!stats) {
         std::fprintf(stderr, "tbstc fuzz: %s\n",
@@ -978,70 +752,81 @@ cmdFuzz(int argc, char **argv)
     return stats->probeMismatches == 0 ? 0 : 1;
 }
 
-int
-cmdHelp(int argc, char **argv)
+int cmdHelp(util::FlagSet &flags, int argc, char **argv);
+
+/** One subcommand: its name, one-line summary, and handler. */
+struct Command
 {
-    // `tbstc help <command>` prints that subcommand's generated help.
-    if (argc >= 3) {
-        const std::string topic = argv[2];
-        SimOpts opts;
-        std::string accel;
-        if (topic == "run") {
-            std::fputs(runFlags(opts, accel).help().c_str(), stdout);
-            return 0;
-        }
-        if (topic == "compare") {
-            std::fputs(compareFlags(opts).help().c_str(), stdout);
-            return 0;
-        }
-        // The remaining subcommands print their own help via --help.
-        if (topic == "formats" || topic == "fsck" || topic == "area"
-            || topic == "cpuinfo" || topic == "serve"
-            || topic == "loadgen" || topic == "fuzz") {
-            char help_flag[] = "--help";
-            char *sub_argv[] = {argv[0], argv[2], help_flag};
-            if (topic == "formats")
-                return cmdFormats(3, sub_argv);
-            if (topic == "fsck")
-                return cmdFsck(3, sub_argv);
-            if (topic == "cpuinfo")
-                return cmdCpuinfo(3, sub_argv);
-            if (topic == "serve")
-                return cmdServe(3, sub_argv);
-            if (topic == "loadgen")
-                return cmdLoadgen(3, sub_argv);
-            if (topic == "fuzz")
-                return cmdFuzz(3, sub_argv);
-            return cmdArea(3, sub_argv);
-        }
+    const char *name;
+    const char *summary;
+    int (*handler)(util::FlagSet &flags, int argc, char **argv);
+};
+
+const Command kCommands[] = {
+    {"run", "Simulate one model or layer on one accelerator.", cmdRun},
+    {"compare", "Simulate a workload on every accelerator.", cmdCompare},
+    {"formats", "Storage-format study: bytes, redundancy, bandwidth.",
+     cmdFormats},
+    {"fsck", "Validate a dumped DDC stream; name any decode error.",
+     cmdFsck},
+    {"area", "Area/power breakdown of an accelerator.", cmdArea},
+    {"cpuinfo",
+     "Report detected CPU features and the dispatched kernel table.",
+     cmdCpuinfo},
+    {"serve", "Serve run/sparsify requests concurrently over a socket.",
+     cmdServe},
+    {"loadgen", "Drive a serve daemon with a deterministic request mix.",
+     cmdLoadgen},
+    {"fuzz", "Fuzz a serve daemon's wire protocol with seeded corruption.",
+     cmdFuzz},
+    {"help", "List the commands; 'help <command>' shows its options.",
+     cmdHelp},
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &c : kCommands)
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
+int
+runCommand(const Command &cmd, int argc, char **argv)
+{
+    util::FlagSet flags(cmd.name, cmd.summary);
+    return cmd.handler(flags, argc, argv);
+}
+
+/**
+ * help: `tbstc help <command>` is `tbstc <command> --help`; anything
+ * else prints the command list.
+ */
+int
+cmdHelp(util::FlagSet &, int argc, char **argv)
+{
+    if (const Command *topic = argc >= 3 ? findCommand(argv[2]) : nullptr) {
+        char help_flag[] = "--help";
+        char *sub_argv[] = {argv[0], argv[2], help_flag};
+        return runCommand(*topic, 3, sub_argv);
     }
-    std::puts(
-        "tbstc — TB-STC sparse-tensor-core simulator\n"
+    std::printf("tbstc — TB-STC sparse-tensor-core simulator\n"
+                "\n"
+                "usage: tbstc <command> [options]\n"
+                "\n"
+                "commands:\n");
+    for (const Command &c : kCommands)
+        std::printf("  %-8s %s\n", c.name, c.summary);
+    std::printf(
         "\n"
-        "usage: tbstc <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  run      --accel K (--model M | --layer XxYxNB) [options]\n"
-        "  compare  (--model M | --layer XxYxNB) [options]\n"
-        "  formats  [--layer XxYxNB] [--sparsity S] [--seed N]\n"
-        "           [--dump FILE]  (write the DDC byte stream)\n"
-        "  fsck     FILE  (validate a dumped DDC stream)\n"
-        "  area     --accel K\n"
-        "  cpuinfo  [--isa L]  (CPU features, dispatched kernels)\n"
-        "  serve    [--socket PATH | --port N] [--queue N] ...\n"
-        "           (daemon; see docs/serving.md)\n"
-        "  loadgen  (--socket PATH | --port N) [--clients N]\n"
-        "           [--requests N] [--json] [--verify] [--chaos N]\n"
-        "  fuzz     (--socket PATH | --port N) [--seed N]\n"
-        "           [--sessions N] [--frames N]  (protocol fuzzer)\n"
-        "  help     [command]\n"
-        "\n"
-        "accelerators: tc stc vegeta highlight rmstc sgcn tbstc fan\n"
-        "models:       resnet50 resnet18 bert opt llama\n"
+        "accelerators: %s\n"
+        "models:       %s\n"
         "\n"
         "'tbstc help <command>' or 'tbstc <command> --help' lists the\n"
         "command's options, including the telemetry flags --trace and\n"
-        "--metrics (see docs/observability.md).");
+        "--metrics (see docs/observability.md).\n",
+        serve::accelNames().c_str(), serve::modelNames().c_str());
     return 0;
 }
 
@@ -1050,31 +835,14 @@ cmdHelp(int argc, char **argv)
 int
 dispatch(int argc, char **argv)
 {
-    if (argc < 2)
-        return cmdHelp(argc, argv);
-    const std::string cmd = argv[1];
+    // No command, `--help` and `-h` all ask for the command list.
+    const std::string name = argc < 2 ? "--help" : argv[1];
+    const Command *cmd =
+        findCommand(name == "--help" || name == "-h" ? "help" : name);
+    if (cmd == nullptr)
+        fail("unknown command '" + name + "'");
     try {
-        if (cmd == "run")
-            return cmdRun(argc, argv);
-        if (cmd == "compare")
-            return cmdCompare(argc, argv);
-        if (cmd == "formats")
-            return cmdFormats(argc, argv);
-        if (cmd == "fsck")
-            return cmdFsck(argc, argv);
-        if (cmd == "area")
-            return cmdArea(argc, argv);
-        if (cmd == "cpuinfo")
-            return cmdCpuinfo(argc, argv);
-        if (cmd == "serve")
-            return cmdServe(argc, argv);
-        if (cmd == "loadgen")
-            return cmdLoadgen(argc, argv);
-        if (cmd == "fuzz")
-            return cmdFuzz(argc, argv);
-        if (cmd == "help" || cmd == "--help" || cmd == "-h")
-            return cmdHelp(argc, argv);
-        fail("unknown command '" + cmd + "'");
+        return runCommand(*cmd, argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "tbstc: %s\n", e.what());
         return 1;
