@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/codec.hpp"
 #include "format/encoding.hpp"
 #include "kernels/kernels.hpp"
@@ -59,7 +59,8 @@ BM_UsMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::usMask(scores, 0.75));
+        benchmark::DoNotOptimize(
+            bench::makeMask(core::Pattern::US, scores, 0.75));
     state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_UsMask)->Arg(256)->Arg(512);
@@ -68,9 +69,9 @@ void
 BM_TbsMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
-    const auto cand = core::defaultCandidates(8);
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::tbsMask(scores, 0.75, 8, cand));
+        benchmark::DoNotOptimize(
+            bench::makeMask(core::Pattern::TBS, scores, 0.75));
     state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_TbsMask)->Arg(256)->Arg(512);
@@ -79,9 +80,9 @@ void
 BM_RsvMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
-    const auto cand = core::defaultCandidates(8);
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::rsvMask(scores, 0.75, 8, cand));
+        benchmark::DoNotOptimize(
+            bench::makeMask(core::Pattern::RSV, scores, 0.75));
 }
 BENCHMARK(BM_RsvMask)->Arg(256);
 
@@ -90,7 +91,8 @@ BM_TsMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::tsMask(scores, 2, 8));
+        benchmark::DoNotOptimize(
+            bench::makeMask(core::Pattern::TS, scores, 0.75)); // 2:8
     state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_TsMask)->Arg(256)->Arg(512);
@@ -99,9 +101,9 @@ void
 BM_RshMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
-    const auto cand = core::defaultCandidates(8);
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::rshMask(scores, 0.75, 8, cand));
+        benchmark::DoNotOptimize(
+            bench::makeMask(core::Pattern::RSH, scores, 0.75));
     state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_RshMask)->Arg(256);
@@ -112,8 +114,7 @@ BM_DdcEncode(benchmark::State &state)
     const auto w = workload::synthWeights(
         {"kernel-bench", 512, 512, 1}, 1);
     const auto scores = core::magnitudeScores(w);
-    const auto res =
-        core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+    const auto res = bench::makeMask(core::Pattern::TBS, scores, 0.75);
     for (auto _ : state)
         benchmark::DoNotOptimize(
             format::encodeDdc(w, res.mask, res.meta));
@@ -208,7 +209,7 @@ BENCHMARK(BM_SynthWeights)->Arg(2048)->Unit(benchmark::kMillisecond);
 // --------------------------------------------------------------------
 // Packed-mask kernels: the word-parallel primitives the bit-packed
 // Mask replaced byte loops with. Throughput here is what the 3x
-// blockstats / 2x tbsMask end-to-end speedups are built from.
+// blockstats / 2x TBS-mask end-to-end speedups are built from.
 // --------------------------------------------------------------------
 
 core::Mask
@@ -216,7 +217,9 @@ benchMask(size_t dim, double sparsity, uint64_t seed)
 {
     const auto w = workload::synthWeights(
         {"mask-bench", dim, dim, 1}, seed);
-    return core::usMask(core::magnitudeScores(w), sparsity);
+    return bench::makeMask(core::Pattern::US, core::magnitudeScores(w),
+                           sparsity)
+        .mask;
 }
 
 void
@@ -281,7 +284,9 @@ BM_ApplyMask(benchmark::State &state)
 {
     const auto w = workload::synthWeights(
         {"mask-bench", 1024, 1024, 1}, 2);
-    const auto m = core::usMask(core::magnitudeScores(w), 0.75);
+    const auto m = bench::makeMask(core::Pattern::US,
+                                   core::magnitudeScores(w), 0.75)
+                       .mask;
     for (auto _ : state)
         benchmark::DoNotOptimize(core::applyMask(w, m));
     state.SetItemsProcessed(state.iterations() * m.size());

@@ -18,12 +18,27 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace tbstc::bench {
+
+/** core::tryMakeMask at m = 8 with the default candidates. */
+inline core::MaskOutput
+makeMask(core::Pattern pattern, const core::Matrix &scores,
+         double sparsity)
+{
+    core::MaskRequest req;
+    req.pattern = pattern;
+    req.sparsity = sparsity;
+    auto res = core::tryMakeMask(scores, req);
+    if (!res)
+        util::fatal("{}", res.error().message);
+    return std::move(*res);
+}
 
 /**
  * Machine-readable bench output. Every bench main() constructs one and

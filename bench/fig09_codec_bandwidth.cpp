@@ -14,7 +14,6 @@
 
 #include "bench_util.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/codec.hpp"
 #include "format/encoding.hpp"
 #include "sim/dram.hpp"
@@ -39,8 +38,7 @@ main()
         const auto w = workload::synthWeights(
             {"codec-bench", 512, 512, 1}, 99);
         const auto scores = core::magnitudeScores(w);
-        const auto res =
-            core::tbsMask(scores, sp, 8, core::defaultCandidates(8));
+        const auto res = bench::makeMask(core::Pattern::TBS, scores, sp);
 
         const auto sdc = format::encodeSdc(w, res.mask);
         const auto csr = format::encodeCsr(w, res.mask);

@@ -16,7 +16,6 @@
 #include "bench_util.hpp"
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "workload/models.hpp"
 #include "workload/synth.hpp"
 
@@ -43,7 +42,7 @@ main()
         const auto w = workload::synthWeights(shape, 42, 1024);
         const auto scores = core::magnitudeScores(w);
         const auto res =
-            core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+            bench::makeMask(core::Pattern::TBS, scores, 0.75);
         const auto d = core::directionDistribution(res.meta);
 
         const auto n = static_cast<double>(d.blocks);

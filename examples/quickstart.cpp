@@ -32,31 +32,40 @@ main()
     const core::Matrix w = workload::synthWeights(shape, /*seed=*/1);
     const core::Matrix scores = core::magnitudeScores(w);
 
+    // One validated entry point makes every pattern family's mask.
     const double sparsity = 0.75;
-    const core::TbsResult tbs = core::tbsMask(
-        scores, sparsity, /*m=*/8, core::defaultCandidates(8));
+    core::MaskRequest mreq;
+    mreq.pattern = core::Pattern::TBS;
+    mreq.sparsity = sparsity;
+    mreq.m = 8;
+    const auto tbs = core::tryMakeMask(scores, mreq);
+    if (!tbs) {
+        std::fprintf(stderr, "%s\n", tbs.error().message.c_str());
+        return 1;
+    }
 
     std::printf("TBS mask: %zu x %zu, sparsity %.1f%% (target %.1f%%)\n",
-                tbs.mask.rows(), tbs.mask.cols(),
-                tbs.mask.sparsity() * 100.0, sparsity * 100.0);
+                tbs->mask.rows(), tbs->mask.cols(),
+                tbs->mask.sparsity() * 100.0, sparsity * 100.0);
 
     // --- 2. How close is it to unstructured pruning? --------------
-    const core::Mask us = core::usMask(scores, sparsity);
+    mreq.pattern = core::Pattern::US;
+    const core::Mask us = core::tryMakeMask(scores, mreq)->mask;
     std::printf("similarity to the unstructured mask: %.1f%% "
                 "(paper Fig. 4(b): 85-92%%)\n",
-                tbs.mask.agreement(us) * 100.0);
+                tbs->mask.agreement(us) * 100.0);
 
-    const auto dist = core::directionDistribution(tbs.meta);
+    const auto dist = core::directionDistribution(tbs->meta);
     std::printf("block directions: %.1f%% row-wise, %.1f%% "
                 "column-wise, %.1f%% dense/empty\n",
                 dist.rowFrac * 100.0, dist.colFrac * 100.0,
                 dist.otherFrac * 100.0);
 
     // --- 3. DDC encoding round trip. -------------------------------
-    const auto ddc = format::encodeDdc(w, tbs.mask, tbs.meta);
+    const auto ddc = format::encodeDdc(w, tbs->mask, tbs->meta);
     const core::Matrix decoded = ddc->decode();
     const double err =
-        core::maxAbsDiff(decoded, core::applyMask(w, tbs.mask));
+        core::maxAbsDiff(decoded, core::applyMask(w, tbs->mask));
     std::printf("DDC: %llu bytes (dense would be %zu), round-trip "
                 "error %.1e\n",
                 static_cast<unsigned long long>(ddc->storageBytes()),

@@ -70,14 +70,12 @@ blockNnz(const Mask &mask, size_t m)
         }
         return nnz;
     }
-    // Word-at-a-time: each block row contributes one popcount per <=64
-    // columns.
+    // Word-at-a-time: one range popcount per block row.
     for (size_t br = 0; br < block_rows; ++br)
         for (size_t r = 0; r < m; ++r)
             for (size_t bc = 0; bc < block_cols; ++bc)
-                for (size_t c0 = 0; c0 < m; c0 += 64)
-                    nnz[br * block_cols + bc] += mask.rangeNnz(
-                        br * m + r, bc * m + c0, std::min<size_t>(64, m - c0));
+                nnz[br * block_cols + bc] +=
+                    mask.rangeNnz(br * m + r, bc * m, m);
     return nnz;
 }
 

@@ -1,19 +1,19 @@
 /**
  * @file
- * Validated mask-search surface.
+ * The one way to produce a sparsity mask.
  *
- * tryMakeMask() is the primary entry point for producing a sparsity
- * mask: it validates a MaskRequest and dispatches the pattern family
- * to its generator. TBS has one search, paper Algorithm 1 (tbsMask):
- * per block, rank-table top-N in each direction, keep the direction
- * with the smaller L1 distance to the unstructured mask. At the
- * block's exact N that choice is already the L1 optimum
- * (docs/mask_search.md), so the strategy vocabulary is closed: "" and
- * "greedy" both name it.
+ * tryMakeMask() validates a MaskRequest once, then switches on the
+ * pattern family to its generator (all internal to sparsify.cpp).
+ * TBS has one search, paper Algorithm 1: per block, rank-table top-N
+ * in each direction, keep the direction with the smaller L1 distance
+ * to the unstructured mask. At the block's exact N that choice is
+ * already the L1 optimum (docs/mask_search.md), so the strategy
+ * vocabulary is closed: "" and "greedy" both name it.
  *
  * Following the try*-primary convention (see serialize.hpp), the
  * function never throws for bad requests: it returns
  * Result<MaskOutput, MaskError> with a machine-readable error kind.
+ * patternMask (sparsify.hpp) is its throwing form.
  */
 
 #ifndef TBSTC_CORE_MASK_SEARCH_HPP
@@ -49,16 +49,13 @@ struct MaskRequest
 };
 
 /**
- * A produced mask plus what the search learned on the way. `meta`
- * carries the per-block (N, dim) grid for TBS and is an empty grid
- * (blocks.empty()) for the other families; `usHamming` is the L1
- * distance to the same-sparsity unstructured mask for every family.
+ * A produced mask. `meta` carries the per-block (N, dim) grid for TBS
+ * and is an empty grid (blocks.empty(), m set) for the other families.
  */
 struct MaskOutput
 {
     Mask mask;
     TbsMeta meta;
-    size_t usHamming = 0;
 };
 
 /** Machine-readable class of a rejected MaskRequest. */
@@ -66,8 +63,10 @@ enum class MaskErrorKind : uint8_t
 {
     UnknownStrategy, ///< Strategy is neither "" nor "greedy".
     BadSparsity,     ///< Sparsity outside [0, 1].
-    BadBlockSize,    ///< m == 0, or illegal for the pattern (SS parity).
-    NotDivisible,    ///< Matrix does not tile by m as the pattern needs.
+    BadBlockSize,    ///< m == 0, or illegal for the pattern (SS: even,
+                     ///< 4 <= m <= 256).
+    NotDivisible,    ///< Matrix does not tile by m as the pattern needs
+                     ///< (columns; TBS rows too; never Dense or US).
     BadCandidates,   ///< A candidate N exceeds m.
 };
 
@@ -85,9 +84,11 @@ struct MaskError
 bool isMaskStrategy(const std::string &name);
 
 /**
- * Validate @p req and produce the mask. See the file comment for the
- * dispatch semantics; errors come back as a MaskError instead of a
- * thrown FatalError.
+ * Validate @p req and produce the mask. The rules, checked in this
+ * order: a known strategy, sparsity in [0, 1], m >= 1 (SS: even and
+ * 4 <= m <= 256), columns divisible by m (TBS: rows too; Dense and US
+ * have no tiles, so no tiling rule), and every candidate N <= m.
+ * Errors come back as a MaskError instead of a thrown FatalError.
  */
 util::Result<MaskOutput, MaskError> tryMakeMask(const Matrix &scores,
                                                 const MaskRequest &req);

@@ -13,6 +13,7 @@
 #ifndef TBSTC_CORE_MATRIX_HPP
 #define TBSTC_CORE_MATRIX_HPP
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -231,11 +232,17 @@ class Mask
         }
     }
 
-    /** Kept count in [c0, c0+len) of row r (len <= 64). */
+    /** Kept count in [c0, c0+len) of row r. */
     size_t
     rangeNnz(size_t r, size_t c0, size_t len) const
     {
-        return static_cast<size_t>(std::popcount(rowBits(r, c0, len)));
+        if (len <= 64)
+            return static_cast<size_t>(std::popcount(rowBits(r, c0, len)));
+        size_t nnz = 0;
+        for (size_t off = 0; off < len; off += 64)
+            nnz += static_cast<size_t>(std::popcount(
+                rowBits(r, c0 + off, std::min<size_t>(64, len - off))));
+        return nnz;
     }
 
     /** Invoke f(c) for every kept column of row r, ascending. */

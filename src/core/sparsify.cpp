@@ -7,13 +7,12 @@
 #include <utility>
 
 #include "kernels/kernels.hpp"
+#include "mask_search.hpp"
+#include "util/fmt.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
 namespace tbstc::core {
-
-using util::ensure;
-using util::fatal;
 
 namespace {
 
@@ -193,8 +192,6 @@ selectTiles(const Matrix &scores, size_t m, const NFn &tile_n)
 size_t
 targetNnz(size_t total, double sparsity)
 {
-    if (sparsity < 0.0 || sparsity > 1.0)
-        fatal("sparsity degree {} is outside [0, 1]", sparsity);
     const double keep = (1.0 - sparsity) * static_cast<double>(total);
     return static_cast<size_t>(std::llround(keep));
 }
@@ -218,7 +215,6 @@ std::vector<uint8_t>
 fitCounts(std::span<const FitUnit> units,
           std::span<const uint8_t> candidates, size_t target_nnz)
 {
-    ensure(!candidates.empty(), "fitCounts requires candidates");
     std::vector<uint8_t> cand(candidates.begin(), candidates.end());
     std::sort(cand.begin(), cand.end());
 
@@ -274,25 +270,6 @@ fitCounts(std::span<const FitUnit> units,
     return n;
 }
 
-void
-checkBlockDivisibility(const Matrix &scores, size_t m)
-{
-    if (m == 0 || scores.rows() % m != 0 || scores.cols() % m != 0)
-        fatal("matrix {}x{} is not divisible into {}x{} blocks; pad the "
-              "workload to the block grid first",
-              scores.rows(), scores.cols(), m, m);
-}
-
-/** Row-wise patterns only tile along rows; rows may be ragged. */
-void
-checkTileDivisibility(const Matrix &scores, size_t m)
-{
-    if (m == 0 || scores.cols() % m != 0)
-        fatal("matrix {}x{} rows are not divisible into {}-element "
-              "tiles; pad the workload first",
-              scores.rows(), scores.cols(), m);
-}
-
 /**
  * Algorithm 1 step-3 worker over block-rows [begin, end).
  *
@@ -312,7 +289,7 @@ template <typename MT>
 void
 tbsScoreBlockRows(const Matrix &scores, const Mask &us,
                   std::span<const uint8_t> n, size_t block_cols, MT m,
-                  size_t begin, size_t end, TbsResult &out)
+                  size_t begin, size_t end, MaskOutput &out)
 {
     [[maybe_unused]] const auto rank_kernel = kernels::active().rank8x8;
     std::vector<float> blk(m * m);
@@ -402,8 +379,7 @@ tbsScoreBlockRows(const Matrix &scores, const Mask &us,
     }
 }
 
-} // namespace
-
+/** Unstructured mask: keep the global top-k scores. */
 Mask
 usMask(const Matrix &scores, double sparsity)
 {
@@ -519,41 +495,50 @@ usMask(const Matrix &scores, double sparsity)
     return mask;
 }
 
+/**
+ * Tile-wise N:M mask (NVIDIA STC style): every M-element row tile keeps
+ * its top N scores, with the one N nearest the target density
+ * (50% -> 4:8, STC's supported pattern).
+ */
 Mask
-tsMask(const Matrix &scores, size_t n, size_t m)
+tsMask(const Matrix &scores, double sparsity, size_t m)
 {
-    checkTileDivisibility(scores, m);
-    ensure(n <= m, "tsMask requires n <= m");
+    const auto n = static_cast<size_t>(
+        std::llround((1.0 - sparsity) * static_cast<double>(m)));
     return selectTiles(scores, m, [n](size_t, size_t) { return n; });
 }
 
+/**
+ * Row-wise N:M with per-row N (VEGETA). Each row picks the candidate N
+ * closest to its unstructured density; a global largest-remainder pass
+ * nudges rows so the whole matrix hits the target sparsity.
+ */
 Mask
 rsvMask(const Matrix &scores, double sparsity, size_t m,
         std::span<const uint8_t> candidates)
 {
-    checkTileDivisibility(scores, m);
     const Mask us = usMask(scores, sparsity);
     const size_t target = targetNnz(scores.size(), sparsity);
     const size_t groups = scores.cols() / m;
 
     std::vector<FitUnit> units(scores.rows());
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        size_t row_nnz = 0;
-        for (size_t c = 0; c < scores.cols(); c += 64)
-            row_nnz += us.rangeNnz(
-                r, c, std::min<size_t>(64, scores.cols() - c));
-        units[r] = {static_cast<double>(row_nnz), groups};
-    }
+    for (size_t r = 0; r < scores.rows(); ++r)
+        units[r] = {static_cast<double>(us.rangeNnz(r, 0, scores.cols())),
+                    groups};
     const std::vector<uint8_t> n = fitCounts(units, candidates, target);
     return selectTiles(scores, m,
                        [&n](size_t r, size_t) { return size_t{n[r]}; });
 }
 
+/**
+ * Row-wise hierarchical N:M (HighLight). Each super-group of M row
+ * tiles keeps T of its M tiles (tile-level N:M), and surviving tiles
+ * keep N0 of M elements, with (T, N0) chosen per super-group to match
+ * its unstructured density.
+ */
 Mask
-rshMask(const Matrix &scores, double sparsity, size_t m,
-        std::span<const uint8_t> /* candidates */)
+rshMask(const Matrix &scores, double sparsity, size_t m)
 {
-    checkTileDivisibility(scores, m);
     const Mask us = usMask(scores, sparsity);
     const size_t target = targetNnz(scores.size(), sparsity);
     const size_t tiles_per_row = scores.cols() / m;
@@ -576,11 +561,7 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
             s.row = r;
             s.tile0 = t0;
             s.tiles = std::min(m, tiles_per_row - t0);
-            s.us_nnz = 0;
-            for (size_t c = t0 * m; c < (t0 + s.tiles) * m; c += 64)
-                s.us_nnz += us.rangeNnz(
-                    r, c,
-                    std::min<size_t>(64, (t0 + s.tiles) * m - c));
+            s.us_nnz = us.rangeNnz(r, t0 * m, s.tiles * m);
             // Inner density from the average kept-per-surviving-tile:
             // dense inner tiles when the super-group is lightly pruned.
             const double density = static_cast<double>(s.us_nnz)
@@ -662,11 +643,26 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
     });
 }
 
-TbsResult
+/**
+ * Transposable block-wise N:M (paper Algorithm 1):
+ *  1. unstructured prune to the target sparsity;
+ *  2. per M x M block, choose N from @p candidates nearest the block's
+ *     unstructured density (with a global balance pass so the matrix
+ *     hits the target);
+ *  3. per block, build the reduction-direction mask (top-N per row) and
+ *     the independent-direction mask (top-N per column) and keep the one
+ *     with the smaller L1 distance to the unstructured block mask.
+ *
+ * The unstructured mask is a global top-k under the same (score desc,
+ * index asc) order as the per-group top-N, so each group's top-N holds
+ * min(us_g, N) unstructured survivors. Step 3's distance is therefore
+ * N*m + us_nnz - 2*sum_g min(us_g, N), the minimum over every mask
+ * keeping exactly N per group in that direction.
+ */
+MaskOutput
 tbsMask(const Matrix &scores, double sparsity, size_t m,
         std::span<const uint8_t> candidates)
 {
-    checkBlockDivisibility(scores, m);
     // Step 1: unstructured pruning at the target sparsity.
     const Mask us = usMask(scores, sparsity);
     const size_t target = targetNnz(scores.size(), sparsity);
@@ -683,9 +679,7 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
             for (size_t bc = 0; bc < block_cols; ++bc) {
                 size_t nnz = 0;
                 for (size_t r = 0; r < m; ++r)
-                    for (size_t c0 = 0; c0 < m; c0 += 64)
-                        nnz += us.rangeNnz(br * m + r, bc * m + c0,
-                                           std::min<size_t>(64, m - c0));
+                    nnz += us.rangeNnz(br * m + r, bc * m, m);
                 units[br * block_cols + bc] =
                     {static_cast<double>(nnz), m};
             }
@@ -695,7 +689,7 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
 
     // Step 3: per block, choose the pruning direction by L1 distance to
     // the unstructured block mask.
-    TbsResult out;
+    MaskOutput out;
     out.mask = Mask(scores.rows(), scores.cols());
     out.meta.m = m;
     out.meta.blockRows = block_rows;
@@ -715,28 +709,30 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
             tbsScoreBlockRows(scores, us, n, block_cols, m, begin, end,
                               out);
     });
-    // One word-wise XOR/popcount pass; maskSimilarity consumes this.
-    out.usHamming = out.mask.hamming(us);
     return out;
 }
 
+/** Per-tile candidate keep counts of SlideSparse: {0, 1, ..., m-2}. */
 std::vector<uint8_t>
 slideSparseCandidates(size_t m)
 {
-    if (m < 4 || m % 2 != 0 || m - 2 > 255)
-        fatal("SlideSparse requires an even block size m = 2N with "
-              "4 <= m <= 256; got {}",
-              m);
     std::vector<uint8_t> c(m - 1);
     for (size_t n = 0; n <= m - 2; ++n)
         c[n] = static_cast<uint8_t>(n);
     return c;
 }
 
+/**
+ * SlideSparse (2N-2):2N mask (arxiv 2603.05232), with m = 2N. Every
+ * m-element row tile keeps at most m-2 elements; the per-tile keep
+ * count is chosen from the contiguous 0..m-2 ladder nearest the tile's
+ * unstructured density, with the usual global largest-remainder pass
+ * toward the target. Targets sparser than 2/m are unreachable (the
+ * cap bites) and the mask saturates at m-2 per tile.
+ */
 Mask
 ssMask(const Matrix &scores, double sparsity, size_t m)
 {
-    checkTileDivisibility(scores, m);
     const Mask us = usMask(scores, sparsity);
     const size_t target = targetNnz(scores.size(), sparsity);
     const size_t tiles_per_row = scores.cols() / m;
@@ -747,54 +743,140 @@ ssMask(const Matrix &scores, double sparsity, size_t m)
     // the (2N-2):2N cap saturate at m-2 and the largest-remainder pass
     // spreads the shortfall across the rest of the matrix.
     std::vector<FitUnit> units(scores.rows() * tiles_per_row);
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < tiles_per_row; ++t) {
-            size_t nnz = 0;
-            for (size_t c0 = 0; c0 < m; c0 += 64)
-                nnz += us.rangeNnz(r, t * m + c0,
-                                   std::min<size_t>(64, m - c0));
-            units[r * tiles_per_row + t] = {static_cast<double>(nnz), 1};
-        }
-    }
+    for (size_t r = 0; r < scores.rows(); ++r)
+        for (size_t t = 0; t < tiles_per_row; ++t)
+            units[r * tiles_per_row + t] = {
+                static_cast<double>(us.rangeNnz(r, t * m, m)), 1};
     const std::vector<uint8_t> n = fitCounts(units, cand, target);
     return selectTiles(scores, m, [&](size_t r, size_t t) {
         return size_t{n[r * tiles_per_row + t]};
     });
 }
 
+/** Dense: keep every position. */
+Mask
+denseMask(size_t rows, size_t cols)
+{
+    Mask mask(rows, cols);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c0 = 0; c0 < cols; c0 += 64)
+            mask.setRowBits(r, c0, std::min<size_t>(64, cols - c0),
+                            ~uint64_t{0});
+    return mask;
+}
+
+util::Unexpected<MaskError>
+fail(MaskErrorKind kind, std::string message)
+{
+    return util::unexpected(MaskError{kind, std::move(message)});
+}
+
+} // namespace
+
+const char *
+maskErrorKindName(MaskErrorKind kind)
+{
+    switch (kind) {
+      case MaskErrorKind::UnknownStrategy: return "unknown_strategy";
+      case MaskErrorKind::BadSparsity:     return "bad_sparsity";
+      case MaskErrorKind::BadBlockSize:    return "bad_block_size";
+      case MaskErrorKind::NotDivisible:    return "not_divisible";
+      case MaskErrorKind::BadCandidates:   return "bad_candidates";
+    }
+    util::panic("unknown MaskErrorKind");
+}
+
+bool
+isMaskStrategy(const std::string &name)
+{
+    return name.empty() || name == kGreedyStrategy;
+}
+
+util::Result<MaskOutput, MaskError>
+tryMakeMask(const Matrix &scores, const MaskRequest &req)
+{
+    // The one validation: the generators above take its word for it.
+    // The strategy is checked for every pattern, so a typo can never
+    // silently degrade to the default.
+    const Pattern p = req.pattern;
+    const size_t m = req.m;
+    if (!isMaskStrategy(req.strategy))
+        return fail(MaskErrorKind::UnknownStrategy,
+                    util::formatStr("unknown mask strategy \"{}\"",
+                                    req.strategy));
+    if (!(req.sparsity >= 0.0 && req.sparsity <= 1.0))
+        return fail(MaskErrorKind::BadSparsity,
+                    util::formatStr("sparsity {} is outside [0, 1]",
+                                    req.sparsity));
+    if (m == 0)
+        return fail(MaskErrorKind::BadBlockSize, "block size m is 0");
+    if (p == Pattern::SS && (m < 4 || m % 2 != 0 || m > 256))
+        return fail(MaskErrorKind::BadBlockSize,
+                    util::formatStr("SlideSparse requires an even block "
+                                    "size 4 <= m <= 256; got {}",
+                                    m));
+    // Dense and US have no tiles to align.
+    const bool tiled = p != Pattern::Dense && p != Pattern::US;
+    if (tiled
+        && (scores.cols() % m != 0
+            || (p == Pattern::TBS && scores.rows() % m != 0)))
+        return fail(MaskErrorKind::NotDivisible,
+                    util::formatStr(
+                        "matrix {}x{} does not tile by m = {} as {} "
+                        "requires; pad the workload first",
+                        scores.rows(), scores.cols(), m, patternName(p)));
+    const std::vector<uint8_t> candidates =
+        req.candidates.empty() ? defaultCandidates(m) : req.candidates;
+    for (const uint8_t c : candidates) {
+        if (c > m)
+            return fail(MaskErrorKind::BadCandidates,
+                        util::formatStr(
+                            "candidate N = {} exceeds block size m = {}",
+                            c, m));
+    }
+
+    MaskOutput out;
+    out.meta.m = m;
+    switch (p) {
+      case Pattern::TBS:
+        return tbsMask(scores, req.sparsity, m, candidates);
+      case Pattern::Dense:
+        out.mask = denseMask(scores.rows(), scores.cols());
+        break;
+      case Pattern::US:
+        out.mask = usMask(scores, req.sparsity);
+        break;
+      case Pattern::TS:
+        out.mask = tsMask(scores, req.sparsity, m);
+        break;
+      case Pattern::RSV:
+        out.mask = rsvMask(scores, req.sparsity, m, candidates);
+        break;
+      case Pattern::RSH:
+        out.mask = rshMask(scores, req.sparsity, m);
+        break;
+      case Pattern::SS:
+        // SlideSparse draws per-tile counts from its own contiguous
+        // ladder; the request's candidate set does not apply.
+        out.mask = ssMask(scores, req.sparsity, m);
+        break;
+    }
+    return out;
+}
+
 Mask
 patternMask(Pattern p, const Matrix &scores, double sparsity, size_t m,
             std::span<const uint8_t> candidates)
 {
-    switch (p) {
-      case Pattern::Dense: {
-        Mask mask(scores.rows(), scores.cols());
-        for (size_t r = 0; r < mask.rows(); ++r)
-            for (size_t c0 = 0; c0 < mask.cols(); c0 += 64)
-                mask.setRowBits(r, c0,
-                                std::min<size_t>(64, mask.cols() - c0),
-                                ~uint64_t{0});
-        return mask;
-      }
-      case Pattern::US:
-        return usMask(scores, sparsity);
-      case Pattern::TS: {
-        const auto n = static_cast<size_t>(
-            std::llround((1.0 - sparsity) * static_cast<double>(m)));
-        return tsMask(scores, std::min(n, m), m);
-      }
-      case Pattern::RSV:
-        return rsvMask(scores, sparsity, m, candidates);
-      case Pattern::RSH:
-        return rshMask(scores, sparsity, m, candidates);
-      case Pattern::TBS:
-        return tbsMask(scores, sparsity, m, candidates).mask;
-      case Pattern::SS:
-        // SlideSparse draws per-tile counts from its own contiguous
-        // ladder; the caller's candidate set does not apply.
-        return ssMask(scores, sparsity, m);
-    }
-    util::panic("unknown Pattern");
+    MaskRequest req;
+    req.pattern = p;
+    req.sparsity = sparsity;
+    req.m = m;
+    req.candidates.assign(candidates.begin(), candidates.end());
+    auto res = tryMakeMask(scores, req);
+    if (!res)
+        util::fatal("{}", res.error().message);
+    return std::move(res->mask);
 }
 
 bool
@@ -848,11 +930,7 @@ validateSlideSparse(const Mask &mask, size_t m)
         return false;
     for (size_t r = 0; r < mask.rows(); ++r) {
         for (size_t t = 0; t < mask.cols(); t += m) {
-            size_t nnz = 0;
-            for (size_t c0 = 0; c0 < m; c0 += 64)
-                nnz += mask.rangeNnz(r, t + c0,
-                                     std::min<size_t>(64, m - c0));
-            if (nnz > m - 2)
+            if (mask.rangeNnz(r, t, m) > m - 2)
                 return false;
         }
     }

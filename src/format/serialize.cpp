@@ -599,8 +599,8 @@ serializeDdc(const Matrix &w, const Mask &mask, const TbsMeta &meta)
                     ++emitted_values;
                 }
                 for (; count < bi.n; ++count) {
-                    // Pad short groups (never produced by tbsMask, but
-                    // keeps the format total-function).
+                    // Pad short groups (the TBS search never makes
+                    // them, but this keeps the format total-function).
                     out.u16(0);
                     idx.put(0);
                     ++emitted_values;

@@ -86,7 +86,7 @@ struct DdcLayout
  *
  * @param w Weight matrix.
  * @param mask TBS keep-mask (groups must hold exactly N elements, as
- *     tbsMask() produces; validated).
+ *     core::tryMakeMask produces for TBS; validated).
  * @param meta Block metadata.
  * @note fatal() if the mask violates the metadata or the geometry
  *     cannot be represented (e.g. more blocks than the info table's

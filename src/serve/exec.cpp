@@ -1,11 +1,13 @@
 #include "exec.hpp"
 
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "core/prune.hpp"
 #include "format/serialize.hpp"
 #include "util/crc32.hpp"
+#include "util/logging.hpp"
 #include "workload/synth.hpp"
 
 namespace tbstc::serve {
@@ -58,6 +60,26 @@ nameList(const Named<T> (&table)[N])
     for (const Named<T> &e : table)
         out += out.empty() ? e.name : std::string(" ") + e.name;
     return out;
+}
+
+/**
+ * CRC-32 over the five section seals of a DDC2 stream, in stream
+ * order. Every byte of the stream feeds one seal, so the value moves
+ * with the content. The CRC-32 of the whole stream does not: a message
+ * followed by its own CRC-32 always leaves the same CRC register, so
+ * that value depends only on the section lengths.
+ */
+uint32_t
+sealsCrc32(std::span<const uint8_t> bytes)
+{
+    const auto lay = format::ddcLayout(bytes);
+    util::ensure(lay.ok(), "sealsCrc32: not a DDC2 stream");
+    uint32_t crc = 0;
+    for (const size_t at : {lay->headerCrcAt, lay->infoAt - 4,
+                            lay->valuesAt - 4, lay->indicesAt - 4,
+                            lay->end - 4})
+        crc = util::crc32(bytes.subspan(at, 4), crc);
+    return crc;
 }
 
 } // namespace
@@ -207,7 +229,7 @@ executeSparsify(const SparsifySpec &spec)
     out.cols = layer->w.cols();
     out.nnz = tbs.mask.nnz();
     out.ddcBytes = bytes.size();
-    out.ddcCrc32 = util::crc32(bytes);
+    out.ddcCrc32 = sealsCrc32(bytes);
     return out;
 }
 

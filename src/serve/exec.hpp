@@ -68,7 +68,7 @@ struct SparsifyResult
     uint64_t cols = 0;
     uint64_t nnz = 0;       ///< Kept weights under the TBS mask.
     uint64_t ddcBytes = 0;  ///< serializeDdc() stream size.
-    uint32_t ddcCrc32 = 0;  ///< CRC-32 of the stream (zlib-compatible).
+    uint32_t ddcCrc32 = 0;  ///< CRC-32 of the five section CRC-32s.
 };
 
 /** Accelerator name -> kind ("tbstc", "stc", ...); nullopt unknown. */

@@ -132,7 +132,8 @@ parseRequest(std::string_view json)
     if (op == "sparsify") {
         req.op = Op::Sparsify;
         SparsifySpec &s = req.sparsify;
-        s.layer = v.get("layer").asString();
+        if (v.has("layer"))
+            s.layer = v.get("layer").asString();
         if (s.layer.empty() || !tryParseLayer(s.layer, "cli.formats"))
             return fail("layer spec must be XxYxNB, got '"
                                     + s.layer + "'");

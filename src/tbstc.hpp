@@ -20,8 +20,8 @@
  *   - util::FlagSet::parse()       typed command-line parsing
  *
  * Infallible modelling entry points (accel::runLayer(),
- * sim::simulateLayer(), core::tbsMask(), ...) validate their
- * configuration with util::ensure() and are part of the primary API.
+ * sim::simulateLayer(), ...) validate their configuration with
+ * util::ensure() and are part of the primary API.
  *
  * # Observability
  *

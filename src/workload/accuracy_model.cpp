@@ -105,19 +105,18 @@ maskSimilarity(Pattern pattern, double sparsity, size_t m, uint64_t seed)
     constexpr size_t kDim = 256;
     const core::Matrix w =
         synthWeights({"similarity-probe", kDim, kDim, 1}, seed);
-    // Every family reports its distance to the same-sparsity
-    // unstructured mask; agreement = (size - hamming) / size is
-    // Mask::agreement's integer arithmetic without a second usMask.
-    core::MaskRequest req;
-    req.pattern = pattern;
-    req.sparsity = sparsity;
-    req.m = m;
-    const auto out = core::tryMakeMask(core::magnitudeScores(w), req);
-    if (!out)
-        util::panic("maskSimilarity: {}", out.error().message);
-    const size_t total = out->mask.size();
-    const double sim = static_cast<double>(total - out->usHamming)
-        / static_cast<double>(total);
+    const core::Matrix scores = core::magnitudeScores(w);
+    const auto probe = [&](Pattern p) {
+        core::MaskRequest req;
+        req.pattern = p;
+        req.sparsity = sparsity;
+        req.m = m;
+        auto out = core::tryMakeMask(scores, req);
+        if (!out)
+            util::panic("maskSimilarity: {}", out.error().message);
+        return std::move(out->mask);
+    };
+    const double sim = probe(pattern).agreement(probe(Pattern::US));
     const std::lock_guard lk(cache_m);
     return cache.emplace(key, sim).first->second;
 }

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "core/mask_search.hpp"
-#include "core/sparsify.hpp"
 #include "obs/obs.hpp"
 #include "synth.hpp"
 #include "util/contentstore.hpp"
@@ -23,20 +22,6 @@ using format::StorageFormat;
 using sim::BlockTask;
 using sim::LayerProfile;
 
-namespace {
-
-/** Kept count in [c0, c0+len) of row r: one popcount per 64 columns. */
-size_t
-keptInRange(const Mask &mask, size_t r, size_t c0, size_t len)
-{
-    size_t nnz = 0;
-    for (size_t off = 0; off < len; off += 64)
-        nnz += mask.rangeNnz(r, c0 + off, std::min<size_t>(64, len - off));
-    return nnz;
-}
-
-} // namespace
-
 core::TbsMeta
 deriveMeta(const Mask &mask, size_t m)
 {
@@ -52,7 +37,7 @@ deriveMeta(const Mask &mask, size_t m)
             size_t max_row = 0;
             for (size_t r = 0; r < m; ++r)
                 max_row = std::max(max_row,
-                                   keptInRange(mask, br * m + r, bc * m, m));
+                                   mask.rangeNnz(br * m + r, bc * m, m));
             meta.block(br, bc) = {static_cast<uint8_t>(max_row),
                                   SparsityDim::Reduction};
         }
@@ -205,30 +190,20 @@ buildLayerProfileUncached(const ProfileSpec &spec)
     const auto synth = synthShared(shape, spec.seed, rows);
     const Matrix &w = synth->w;
     const Matrix &scores = synth->scores;
-    const std::vector<uint8_t> cand = core::defaultCandidates(m);
 
-    Mask mask;
-    TbsMeta meta;
-    if (spec.pattern == Pattern::TBS) {
-        core::MaskRequest req;
-        req.pattern = Pattern::TBS;
-        req.strategy = spec.maskStrategy;
-        req.sparsity = spec.sparsity;
-        req.m = m;
-        req.candidates = cand;
-        auto res = core::tryMakeMask(scores, req);
-        if (!res)
-            util::fatal("mask search failed: {}", res.error().message);
-        mask = std::move(res->mask);
-        meta = std::move(res->meta);
-    } else {
-        if (!core::isMaskStrategy(spec.maskStrategy))
-            util::fatal("unknown mask strategy \"{}\"",
-                        spec.maskStrategy);
-        mask = core::patternMask(spec.pattern, scores, spec.sparsity, m,
-                                 cand);
-        meta = deriveMeta(mask, m);
-    }
+    core::MaskRequest req;
+    req.pattern = spec.pattern;
+    req.strategy = spec.maskStrategy;
+    req.sparsity = spec.sparsity;
+    req.m = m;
+    auto res = core::tryMakeMask(scores, req);
+    if (!res)
+        util::fatal("mask search failed: {}", res.error().message);
+    Mask mask = std::move(res->mask);
+    // Only TBS carries its block grid; every other family's is read
+    // back from the mask.
+    TbsMeta meta = spec.pattern == Pattern::TBS ? std::move(res->meta)
+                                                : deriveMeta(mask, m);
 
     if (spec.densifyIndependent) {
         // Hardware without codec/MBD support cannot exploit (or even
@@ -271,8 +246,7 @@ buildLayerProfileUncached(const ProfileSpec &spec)
             size_t nnz = 0;
             size_t nonempty = 0;
             for (size_t r = 0; r < m; ++r) {
-                const size_t row_nnz =
-                    keptInRange(mask, br * m + r, bc * m, m);
+                const size_t row_nnz = mask.rangeNnz(br * m + r, bc * m, m);
                 nnz += row_nnz;
                 nonempty += row_nnz > 0;
             }

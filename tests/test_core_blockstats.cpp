@@ -9,13 +9,14 @@
 
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
 
 namespace {
 
 using namespace tbstc::core;
+using tbstc::testutil::makeMask;
 using tbstc::util::Rng;
 
 TEST(BlockStats, ClassifyKinds)
@@ -36,7 +37,7 @@ TEST(BlockStats, DistributionSumsToOne)
     const Matrix w =
         tbstc::workload::synthWeights({"bs-probe", 128, 128, 1}, 1);
     const Matrix s = magnitudeScores(w);
-    const TbsResult res = tbsMask(s, 0.6, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(Pattern::TBS, s, 0.6);
     const DirectionDistribution d = directionDistribution(res.meta);
     EXPECT_NEAR(d.rowFrac + d.colFrac + d.otherFrac, 1.0, 1e-9);
     EXPECT_EQ(d.blocks, 16u * 16u);

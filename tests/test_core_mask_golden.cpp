@@ -7,15 +7,15 @@
  * must produce byte-for-byte the masks the original byte-per-element
  * implementation produced. The hashes below were captured from the
  * pre-packing build (FNV-1a over the row-major byte image, and over
- * the TbsMeta block table) and pin that contract — any drift in
- * usMask/tsMask/rsvMask/rshMask/tbsMask/ssMask or in the per-block
- * direction choice fails here first.
+ * the TbsMeta block table) and pin that contract — any drift in a
+ * family's mask (every one made through core::tryMakeMask) or in the
+ * per-block direction choice fails here first.
  *
  * The second half cross-checks every packed kernel (popcount nnz,
  * word-wise combinators, agreement/overlap/hamming, blockNnz,
- * forEachSet/forEachDropped, rowBits round-trips) against a naive
- * per-element reference on irregular shapes, including non-multiple
- * -of-64 widths where the pad-bits-zero invariant matters.
+ * forEachSet/forEachDropped, rowBits round-trips, rangeNnz) against a
+ * naive per-element reference on irregular shapes, including
+ * non-multiple-of-64 widths where the pad-bits-zero invariant matters.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@
 
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
 
@@ -34,6 +34,8 @@ namespace {
 using namespace tbstc;
 using core::Mask;
 using core::Matrix;
+using testutil::makeMask;
+using testutil::maskOf;
 
 uint64_t
 fnv(const uint8_t *p, size_t n)
@@ -98,28 +100,26 @@ constexpr Golden kGolden[] = {
 
 TEST(MaskGolden, EveryFamilyMatchesPrePackingBuild)
 {
-    const auto cand = core::defaultCandidates(8);
+    using core::Pattern;
     for (const Golden &g : kGolden) {
         SCOPED_TRACE(testing::Message()
                      << g.rows << "x" << g.cols << " sp=" << g.sparsity);
         const Matrix w = workload::synthWeights(
             {"golden-mask", g.rows, g.cols, 1}, g.seed);
         const Matrix scores = core::magnitudeScores(w);
+        const auto hash = [&](Pattern p, double sparsity) {
+            return maskHash(maskOf(p, scores, sparsity));
+        };
 
-        EXPECT_EQ(maskHash(core::usMask(scores, g.sparsity)), g.us);
-        EXPECT_EQ(maskHash(core::tsMask(scores, 4, 8)), g.ts);
-        EXPECT_EQ(maskHash(core::rsvMask(scores, g.sparsity, 8, cand)),
-                  g.rsv);
-        EXPECT_EQ(maskHash(core::rshMask(scores, g.sparsity, 8, cand)),
-                  g.rsh);
-        const core::TbsResult tbs =
-            core::tbsMask(scores, g.sparsity, 8, cand);
+        EXPECT_EQ(hash(Pattern::US, g.sparsity), g.us);
+        EXPECT_EQ(hash(Pattern::TS, 0.5), g.ts); // TS's fixed 4:8.
+        EXPECT_EQ(hash(Pattern::RSV, g.sparsity), g.rsv);
+        EXPECT_EQ(hash(Pattern::RSH, g.sparsity), g.rsh);
+        const core::MaskOutput tbs =
+            makeMask(Pattern::TBS, scores, g.sparsity);
         EXPECT_EQ(maskHash(tbs.mask), g.tbs);
         EXPECT_EQ(metaHash(tbs.meta), g.tbsMeta);
-        EXPECT_EQ(maskHash(core::ssMask(scores, g.sparsity, 8)), g.ss);
-        // usHamming memoizes hamming(usMask) for maskSimilarity.
-        EXPECT_EQ(tbs.usHamming,
-                  tbs.mask.hamming(core::usMask(scores, g.sparsity)));
+        EXPECT_EQ(hash(Pattern::SS, g.sparsity), g.ss);
     }
 }
 
@@ -164,10 +164,11 @@ TEST(MaskPackedOps, CountsMatchByteReference)
                          1.0
                              - static_cast<double>(ham)
                                    / static_cast<double>(a.size()));
-        if (b.nnz() > 0)
+        if (b.nnz() > 0) {
             EXPECT_DOUBLE_EQ(a.overlap(b),
                              static_cast<double>(both)
                                  / static_cast<double>(b.nnz()));
+        }
     }
 }
 
@@ -236,10 +237,11 @@ TEST(MaskPackedOps, IterationAndRowBitsRoundTrip)
             size_t si = 0;
             size_t di = 0;
             for (size_t c = 0; c < a.cols(); ++c) {
-                if (a.at(r, c))
+                if (a.at(r, c)) {
                     EXPECT_EQ(set[si++], c);
-                else
+                } else {
                     EXPECT_EQ(dropped[di++], c);
+                }
             }
         }
 
@@ -255,6 +257,21 @@ TEST(MaskPackedOps, IterationAndRowBitsRoundTrip)
                 b.setRowBits(r, c0, len, bits);
             }
         EXPECT_EQ(b, a);
+
+        // rangeNnz at any length: one word, a word and a bit, several
+        // words, from aligned and unaligned starts.
+        for (size_t r = 0; r < a.rows(); ++r)
+            for (const size_t c0 : {0u, 1u, 37u, 64u})
+                for (const size_t len : {0u, 1u, 63u, 64u, 65u, 130u}) {
+                    if (c0 + len > a.cols())
+                        continue;
+                    size_t want = 0;
+                    for (size_t c = c0; c < c0 + len; ++c)
+                        want += a.at(r, c);
+                    EXPECT_EQ(a.rangeNnz(r, c0, len), want)
+                        << "row " << r << " [" << c0 << ", +" << len
+                        << ")";
+                }
 
         // toBytes is the row-major byte image.
         const std::vector<uint8_t> bytes = a.toBytes();

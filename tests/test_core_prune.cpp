@@ -9,12 +9,13 @@
 
 #include "core/linalg.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace tbstc::core;
+using tbstc::testutil::maskOf;
 using tbstc::util::Rng;
 
 Matrix
@@ -108,7 +109,7 @@ TEST(ObsCompensate, ReducesReconstructionError)
     const Matrix hinv = spdInverse(h);
 
     const Matrix scores = sparseGptScores(w, hinv);
-    const Mask mask = usMask(scores, 0.5);
+    const Mask mask = maskOf(Pattern::US, scores, 0.5);
 
     // Plain zeroing.
     const Matrix w_zero = applyMask(w, mask);
@@ -137,13 +138,14 @@ TEST(ObsCompensate, RespectsMask)
     const Matrix w0 = randomMatrix(8, 16, rng);
     const Matrix x = randomMatrix(64, 16, rng);
     const Matrix hinv = spdInverse(gramFromActivations(x));
-    const Mask mask = usMask(magnitudeScores(w0), 0.5);
+    const Mask mask = maskOf(Pattern::US, magnitudeScores(w0), 0.5);
     Matrix w = w0;
     obsCompensate(w, mask, choleskyUpper(hinv));
     for (size_t r = 0; r < w.rows(); ++r)
         for (size_t c = 0; c < w.cols(); ++c)
-            if (!mask.at(r, c))
+            if (!mask.at(r, c)) {
                 EXPECT_EQ(w.at(r, c), 0.0f);
+            }
 }
 
 TEST(ObsCompensate, NoOpOnFullMask)

@@ -22,12 +22,14 @@
 
 #include "core/pattern.hpp"
 #include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace tbstc::core;
+using tbstc::testutil::maskOf;
 using tbstc::util::Rng;
 
 /** Indices of vals sorted by (value desc, index asc). */
@@ -133,7 +135,7 @@ TEST(SelectionOrder, UsMaskMatchesStableSortReference)
                 std::vector<uint8_t> want(s.size(), 0);
                 for (size_t i = 0; i < k; ++i)
                     want[order[i]] = 1;
-                EXPECT_EQ(usMask(s, sp).toBytes(), want);
+                EXPECT_EQ(maskOf(Pattern::US, s, sp).toBytes(), want);
             }
         }
     }
@@ -158,7 +160,7 @@ TEST(SelectionOrder, UsMaskChunksAgreeAtAnyThreadCount)
                 want[order[i]] = 1;
             for (const size_t threads : {1u, 4u}) {
                 tbstc::util::ThreadScope scope(threads);
-                EXPECT_EQ(usMask(s, sp).toBytes(), want)
+                EXPECT_EQ(maskOf(Pattern::US, s, sp).toBytes(), want)
                     << threads << " threads";
             }
         }
@@ -176,7 +178,11 @@ TEST(SelectionOrder, TsMaskMatchesStableSortReference)
                 SCOPED_TRACE(testing::Message()
                              << "m=" << m << " n=" << n << " dist "
                              << static_cast<int>(d));
-                const Mask mask = tsMask(s, n, m);
+                // TS keeps the N nearest the target density.
+                const Mask mask = maskOf(
+                    Pattern::TS, s,
+                    1.0 - static_cast<double>(n) / static_cast<double>(m),
+                    m);
                 EXPECT_EQ(mask.nnz(), n * s.size() / m);
                 EXPECT_EQ(expectTilesFollowOrder(s, mask, m),
                           s.size() / m);
@@ -189,7 +195,6 @@ TEST(SelectionOrder, RowFamiliesMatchStableSortReference)
 {
     uint64_t seed = 200;
     for (const size_t m : {4u, 8u, 16u, 64u, 128u}) {
-        const std::vector<uint8_t> cand = defaultCandidates(m);
         for (const Dist d : kDists) {
             // Ragged rows; RSH super-groups of m tiles end short when
             // the row holds fewer than m tiles.
@@ -198,9 +203,9 @@ TEST(SelectionOrder, RowFamiliesMatchStableSortReference)
                 SCOPED_TRACE(testing::Message()
                              << "m=" << m << " sp=" << sp << " dist "
                              << static_cast<int>(d));
-                expectTilesFollowOrder(s, rsvMask(s, sp, m, cand), m);
-                expectTilesFollowOrder(s, rshMask(s, sp, m, cand), m);
-                const Mask ss = ssMask(s, sp, m);
+                expectTilesFollowOrder(s, maskOf(Pattern::RSV, s, sp, m), m);
+                expectTilesFollowOrder(s, maskOf(Pattern::RSH, s, sp, m), m);
+                const Mask ss = maskOf(Pattern::SS, s, sp, m);
                 EXPECT_TRUE(validateSlideSparse(ss, m));
                 expectTilesFollowOrder(s, ss, m);
             }

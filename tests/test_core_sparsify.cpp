@@ -10,13 +10,14 @@
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
-#include "util/logging.hpp"
+#include "mask_util.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace tbstc::core;
-using tbstc::util::FatalError;
+using tbstc::testutil::makeMask;
+using tbstc::testutil::maskOf;
 using tbstc::util::Rng;
 
 Matrix
@@ -32,14 +33,14 @@ randomScores(size_t r, size_t c, uint64_t seed)
 TEST(UsMask, HitsExactTarget)
 {
     const Matrix s = randomScores(32, 32, 1);
-    const Mask m = usMask(s, 0.75);
+    const Mask m = maskOf(Pattern::US, s, 0.75);
     EXPECT_EQ(m.nnz(), 256u);
 }
 
 TEST(UsMask, KeepsLargestScores)
 {
     Matrix s(1, 8, {1, 8, 2, 7, 3, 6, 4, 5});
-    const Mask m = usMask(s, 0.5);
+    const Mask m = maskOf(Pattern::US, s, 0.5);
     EXPECT_EQ(m.at(0, 1), 1);
     EXPECT_EQ(m.at(0, 3), 1);
     EXPECT_EQ(m.at(0, 5), 1);
@@ -50,14 +51,14 @@ TEST(UsMask, KeepsLargestScores)
 TEST(UsMask, ZeroAndFullSparsity)
 {
     const Matrix s = randomScores(8, 8, 2);
-    EXPECT_EQ(usMask(s, 0.0).nnz(), 64u);
-    EXPECT_EQ(usMask(s, 1.0).nnz(), 0u);
+    EXPECT_EQ(maskOf(Pattern::US, s, 0.0).nnz(), 64u);
+    EXPECT_EQ(maskOf(Pattern::US, s, 1.0).nnz(), 0u);
 }
 
 TEST(TsMask, RespectsTileConstraint)
 {
     const Matrix s = randomScores(16, 32, 3);
-    const Mask m = tsMask(s, 4, 8);
+    const Mask m = maskOf(Pattern::TS, s, 0.5);
     EXPECT_TRUE(validateTs(m, 4, 8));
     EXPECT_EQ(m.nnz(), 16u * 32u / 2u); // Exactly 4 per tile of 8.
 }
@@ -65,7 +66,7 @@ TEST(TsMask, RespectsTileConstraint)
 TEST(TsMask, KeepsTileTopScores)
 {
     Matrix s(1, 8, {0.9f, 0.1f, 0.8f, 0.2f, 0.7f, 0.3f, 0.6f, 0.4f});
-    const Mask m = tsMask(s, 2, 8);
+    const Mask m = maskOf(Pattern::TS, s, 0.75);
     EXPECT_EQ(m.at(0, 0), 1);
     EXPECT_EQ(m.at(0, 2), 1);
     EXPECT_EQ(m.nnz(), 2u);
@@ -74,14 +75,17 @@ TEST(TsMask, KeepsTileTopScores)
 TEST(TsMask, RejectsNonDivisible)
 {
     const Matrix s = randomScores(8, 12, 4);
-    EXPECT_THROW(tsMask(s, 4, 8), FatalError);
+    MaskRequest req;
+    req.pattern = Pattern::TS;
+    EXPECT_EQ(tryMakeMask(s, req).error().kind,
+              MaskErrorKind::NotDivisible);
 }
 
 TEST(RsvMask, PerRowUniformNAndNearTarget)
 {
     const Matrix s = randomScores(64, 64, 5);
     const auto cand = defaultCandidates(8);
-    const Mask m = rsvMask(s, 0.5, 8, cand);
+    const Mask m = maskOf(Pattern::RSV, s, 0.5);
 
     // Every row must use one N from the candidate set across all its
     // tiles (VEGETA's constraint).
@@ -104,8 +108,7 @@ TEST(RsvMask, PerRowUniformNAndNearTarget)
 TEST(RshMask, NearTargetAndRowStructured)
 {
     const Matrix s = randomScores(64, 128, 6);
-    const auto cand = defaultCandidates(8);
-    const Mask m = rshMask(s, 0.6, 8, cand);
+    const Mask m = maskOf(Pattern::RSH, s, 0.6);
     EXPECT_NEAR(m.sparsity(), 0.6, 0.04);
     // Tiles are either empty, half-dense, or dense.
     for (size_t r = 0; r < 64; ++r) {
@@ -122,8 +125,7 @@ TEST(RshMask, NearTargetAndRowStructured)
 TEST(TbsMask, SatisfiesStructuralInvariant)
 {
     const Matrix s = randomScores(64, 64, 7);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(Pattern::TBS, s, 0.5);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_EQ(res.meta.blockRows, 8u);
     EXPECT_EQ(res.meta.blockCols, 8u);
@@ -132,9 +134,8 @@ TEST(TbsMask, SatisfiesStructuralInvariant)
 TEST(TbsMask, HitsTargetSparsity)
 {
     const Matrix s = randomScores(128, 128, 8);
-    const auto cand = defaultCandidates(8);
     for (double sp : {0.3, 0.5, 0.75}) {
-        const TbsResult res = tbsMask(s, sp, 8, cand);
+        const MaskOutput res = makeMask(Pattern::TBS, s, sp);
         EXPECT_NEAR(res.mask.sparsity(), sp, 0.02) << sp;
     }
 }
@@ -142,8 +143,7 @@ TEST(TbsMask, HitsTargetSparsity)
 TEST(TbsMask, EachGroupKeepsExactlyN)
 {
     const Matrix s = randomScores(32, 32, 9);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(Pattern::TBS, s, 0.5);
     for (size_t br = 0; br < res.meta.blockRows; ++br) {
         for (size_t bc = 0; bc < res.meta.blockCols; ++bc) {
             const BlockInfo &info = res.meta.block(br, bc);
@@ -167,8 +167,7 @@ TEST(TbsMask, UsesBothDirections)
     // On heavy-tailed scores at 50% sparsity, TBS should exercise both
     // the reduction and the independent direction.
     const Matrix s = randomScores(128, 128, 10);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(Pattern::TBS, s, 0.5);
     size_t row_dir = 0;
     size_t col_dir = 0;
     for (const auto &b : res.meta.blocks) {
@@ -185,10 +184,9 @@ TEST(TbsMask, CloserToUsThanTs)
 {
     // The motivating claim: TBS's mask overlaps US far more than TS's.
     const Matrix s = randomScores(128, 128, 11);
-    const auto cand = defaultCandidates(8);
-    const Mask us = usMask(s, 0.5);
-    const Mask ts = tsMask(s, 4, 8);
-    const TbsResult tbs = tbsMask(s, 0.5, 8, cand);
+    const Mask us = maskOf(Pattern::US, s, 0.5);
+    const Mask ts = maskOf(Pattern::TS, s, 0.5);
+    const MaskOutput tbs = makeMask(Pattern::TBS, s, 0.5);
     EXPECT_GT(tbs.mask.overlap(us), ts.overlap(us));
 }
 
@@ -231,9 +229,9 @@ TEST(TbsMask, DirectionChoiceMinimizesL1)
                     v = static_cast<float>(rng.below(4));
             }
             for (const double sp : {0.5, 0.625, 0.75, 0.875}) {
-                const TbsResult res =
-                    tbsMask(s, sp, m, defaultCandidates(m));
-                const Mask us = usMask(s, sp);
+                const MaskOutput res =
+                    makeMask(Pattern::TBS, s, sp, m);
+                const Mask us = maskOf(Pattern::US, s, sp);
                 for (size_t br = 0; br < res.meta.blockRows; ++br) {
                     for (size_t bc = 0; bc < res.meta.blockCols; ++bc) {
                         const auto info = res.meta.block(br, bc);
@@ -268,10 +266,11 @@ TEST(PatternMask, DispatchesAllPatterns)
     for (Pattern p : {Pattern::Dense, Pattern::US, Pattern::TS,
                       Pattern::RSV, Pattern::RSH, Pattern::TBS}) {
         const Mask m = patternMask(p, s, 0.5, 8, cand);
-        if (p == Pattern::Dense)
+        if (p == Pattern::Dense) {
             EXPECT_EQ(m.nnz(), 64u * 64u);
-        else
+        } else {
             EXPECT_NEAR(m.sparsity(), 0.5, 0.05) << patternName(p);
+        }
     }
 }
 

@@ -12,12 +12,15 @@
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
 
 namespace {
 
 using namespace tbstc::core;
+using tbstc::testutil::makeMask;
+using tbstc::testutil::maskOf;
 using tbstc::util::Rng;
 
 Matrix
@@ -45,13 +48,12 @@ TEST_P(SparsitySweep, StructureAndTargetHold)
     const auto [pattern, sparsity] = GetParam();
     const size_t m = 8;
     const Matrix s = randomScores(96, 96, 101);
-    const auto cand = defaultCandidates(m);
-    const Mask mask = patternMask(pattern, s, sparsity, m, cand);
+    const Mask mask = maskOf(pattern, s, sparsity, m);
 
     EXPECT_NEAR(mask.sparsity(), sparsity, 0.06);
 
     if (pattern == Pattern::TBS) {
-        const TbsResult res = tbsMask(s, sparsity, m, cand);
+        const MaskOutput res = makeMask(Pattern::TBS, s, sparsity, m);
         EXPECT_TRUE(validateTbs(res.mask, res.meta));
     }
     if (pattern == Pattern::US) {
@@ -92,8 +94,7 @@ TEST_P(BlockSizeSweep, TbsValidAtAllBlockSizes)
 {
     const size_t m = GetParam();
     const Matrix s = randomScores(2 * m * 4, m * 8, 300 + m);
-    const auto cand = defaultCandidates(m);
-    const TbsResult res = tbsMask(s, 0.5, m, cand);
+    const MaskOutput res = makeMask(Pattern::TBS, s, 0.5, m);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.05);
 }
@@ -109,11 +110,11 @@ TEST_P(BlockSizeSweep, SimilarityToUsGrowsWithSmallerBlocks)
     const Matrix w =
         tbstc::workload::synthWeights({"bss-probe", 64, 64, 1}, 77);
     const Matrix s = magnitudeScores(w);
-    const Mask us = usMask(s, 0.5);
+    const Mask us = maskOf(Pattern::US, s, 0.5);
     const auto tbs_m =
-        tbsMask(s, 0.5, m, defaultCandidates(m)).mask.overlap(us);
+        makeMask(Pattern::TBS, s, 0.5, m).mask.overlap(us);
     const auto tbs_32 =
-        tbsMask(s, 0.5, 32, defaultCandidates(32)).mask.overlap(us);
+        makeMask(Pattern::TBS, s, 0.5, 32).mask.overlap(us);
     EXPECT_GE(tbs_m + 0.02, tbs_32);
 }
 
@@ -147,7 +148,7 @@ TEST_P(CriterionSweep, TbsValidUnderAllCriteria)
         v = static_cast<float>(std::max(0.0, rng.gaussian()));
 
     const Matrix scores = criterionScores(GetParam(), w, acts);
-    const TbsResult res = tbsMask(scores, 0.5, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(Pattern::TBS, scores, 0.5);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.05);
 }
@@ -179,14 +180,13 @@ TEST_P(SimilarityOrdering, TbsTracksUsBest)
 {
     const auto [sparsity, seed] = GetParam();
     const Matrix s = randomScores(128, 128, seed);
-    const auto cand = defaultCandidates(8);
-    const Mask us = usMask(s, sparsity);
+    const Mask us = maskOf(Pattern::US, s, sparsity);
     const double sim_ts =
-        patternMask(Pattern::TS, s, sparsity, 8, cand).overlap(us);
+        maskOf(Pattern::TS, s, sparsity).overlap(us);
     const double sim_rsv =
-        patternMask(Pattern::RSV, s, sparsity, 8, cand).overlap(us);
+        maskOf(Pattern::RSV, s, sparsity).overlap(us);
     const double sim_tbs =
-        patternMask(Pattern::TBS, s, sparsity, 8, cand).overlap(us);
+        maskOf(Pattern::TBS, s, sparsity).overlap(us);
     EXPECT_GT(sim_tbs, sim_ts);
     EXPECT_GE(sim_tbs + 0.01, sim_rsv);
 }

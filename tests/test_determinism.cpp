@@ -13,7 +13,7 @@
 #include "core/maskspace.hpp"
 #include "core/prune.hpp"
 #include "sim/pipeline.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/accuracy_model.hpp"
@@ -23,6 +23,7 @@
 namespace {
 
 using namespace tbstc;
+using tbstc::testutil::makeMask;
 
 /** FNV-1a over a byte view. */
 template <typename T>
@@ -61,8 +62,8 @@ TEST(Golden, SynthWeightsHash)
 TEST(Golden, TbsMaskHash)
 {
     const auto w = workload::synthWeights({"golden", 64, 64, 1}, 7);
-    const auto res = core::tbsMask(core::magnitudeScores(w), 0.75, 8,
-                                   core::defaultCandidates(8));
+    const auto res =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.75);
     const auto bytes = res.mask.toBytes();
     EXPECT_EQ(hashBytes(std::span<const uint8_t>(bytes)),
               0x9bd674c42093ae19ull);
@@ -126,7 +127,7 @@ TEST(Golden, TbsMaskBitIdenticalAcrossThreadCounts)
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         util::ThreadScope scope(threads);
         const auto res =
-            core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+            makeMask(core::Pattern::TBS, scores, 0.75);
         const auto bytes = res.mask.toBytes();
         EXPECT_EQ(hashBytes(std::span<const uint8_t>(bytes)),
                   0x9bd674c42093ae19ull)

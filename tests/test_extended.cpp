@@ -13,6 +13,7 @@
 #include "accel/accelerator.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/codec.hpp"
 #include "format/encoding.hpp"
 #include "nn/dataset.hpp"
@@ -27,6 +28,8 @@
 namespace {
 
 using namespace tbstc;
+using tbstc::testutil::makeMask;
+using tbstc::testutil::maskOf;
 
 // ---------------------------------------------------------------------
 // fp16: every one of the 65536 encodings must survive a decode/encode
@@ -158,8 +161,7 @@ TEST(DeriveMeta, DdcRoundTripOnRsvMask)
 {
     const auto w = workload::synthWeights({"dm", 64, 64, 1}, 3);
     const auto scores = core::magnitudeScores(w);
-    const auto mask = core::rsvMask(scores, 0.6, 8,
-                                    core::defaultCandidates(8));
+    const auto mask = maskOf(core::Pattern::RSV, scores, 0.6);
     const auto meta = workload::deriveMeta(mask, 8);
     const auto enc = format::encodeDdc(w, mask, meta);
     EXPECT_EQ(enc->decode(), core::applyMask(w, mask));
@@ -169,7 +171,7 @@ TEST(DeriveMeta, AllBlocksReduction)
 {
     const auto w = workload::synthWeights({"dm2", 32, 32, 1}, 4);
     const auto mask =
-        core::usMask(core::magnitudeScores(w), 0.5);
+        maskOf(core::Pattern::US, core::magnitudeScores(w), 0.5);
     const auto meta = workload::deriveMeta(mask, 8);
     for (const auto &b : meta.blocks) {
         EXPECT_EQ(b.dim, core::SparsityDim::Reduction);
@@ -275,18 +277,21 @@ TEST(Degenerate, FullAndEmptySparsity)
 {
     const auto w = workload::synthWeights({"deg", 32, 32, 1}, 5);
     const auto scores = core::magnitudeScores(w);
-    const auto cand = core::defaultCandidates(8);
 
-    const auto empty = core::tbsMask(scores, 1.0, 8, cand);
+    const auto empty = makeMask(core::Pattern::TBS, scores, 1.0);
     EXPECT_EQ(empty.mask.nnz(), 0u);
     EXPECT_TRUE(core::validateTbs(empty.mask, empty.meta));
 
-    const auto full = core::tbsMask(scores, 0.0, 8, cand);
+    const auto full = makeMask(core::Pattern::TBS, scores, 0.0);
     EXPECT_EQ(full.mask.nnz(), 32u * 32u);
     EXPECT_TRUE(core::validateTbs(full.mask, full.meta));
 
-    EXPECT_EQ(core::tsMask(scores, 0, 8).nnz(), 0u);
-    EXPECT_THROW(core::usMask(scores, 1.5), util::FatalError);
+    EXPECT_EQ(maskOf(core::Pattern::TS, scores, 1.0).nnz(), 0u);
+    core::MaskRequest req;
+    req.pattern = core::Pattern::US;
+    req.sparsity = 1.5;
+    EXPECT_EQ(core::tryMakeMask(scores, req).error().kind,
+              core::MaskErrorKind::BadSparsity);
 }
 
 TEST(Degenerate, AccuracyProxyOtherModels)
@@ -314,8 +319,9 @@ TEST(Degenerate, LlamaShapesGated)
     EXPECT_EQ(gates, 32u);
     // 11008 pads to a multiple of 8 unchanged.
     for (const auto &l : layers)
-        if (l.name.find("down") != std::string::npos)
+        if (l.name.find("down") != std::string::npos) {
             EXPECT_EQ(l.y, 11008u);
+        }
 }
 
 } // namespace

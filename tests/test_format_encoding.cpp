@@ -8,7 +8,7 @@
 #include <cmath>
 
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/encoding.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
@@ -17,6 +17,8 @@ namespace {
 
 using namespace tbstc::core;
 using namespace tbstc::format;
+using tbstc::testutil::makeMask;
+using tbstc::testutil::maskOf;
 using tbstc::util::Rng;
 
 struct Fixture
@@ -24,7 +26,7 @@ struct Fixture
     Matrix w;
     Matrix scores;
     Mask us;
-    TbsResult tbs;
+    MaskOutput tbs;
 
     explicit Fixture(uint64_t seed, size_t rows = 64, size_t cols = 64,
                      double sparsity = 0.5)
@@ -32,8 +34,8 @@ struct Fixture
         w = tbstc::workload::synthWeights(
             {"fmt-probe", rows, cols, 1}, seed);
         scores = magnitudeScores(w);
-        us = usMask(scores, sparsity);
-        tbs = tbsMask(scores, sparsity, 8, defaultCandidates(8));
+        us = maskOf(Pattern::US, scores, sparsity);
+        tbs = makeMask(Pattern::TBS, scores, sparsity);
     }
 };
 
@@ -78,7 +80,7 @@ TEST(SdcEncoding, NoPaddingOnUniformTs)
     // A fixed 4:8 tile mask gives every row identical occupancy: SDC
     // becomes padding-free (why STC ships it).
     Fixture f(5);
-    const Mask ts = tsMask(f.scores, 4, 8);
+    const Mask ts = maskOf(Pattern::TS, f.scores, 0.5);
     const auto p = encodeSdc(f.w, ts)->streamProfile(8);
     EXPECT_NEAR(p.redundancy(), 0.0, 1e-9);
 }
@@ -142,7 +144,7 @@ TEST(DdcEncoding, InfoTableAccounted)
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = static_cast<float>(i + 1);
     const Matrix scores = magnitudeScores(w);
-    const TbsResult res = tbsMask(scores, 0.0, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(Pattern::TBS, scores, 0.0);
     const auto enc = encodeDdc(w, res.mask, res.meta);
     const uint64_t blocks = 4;
     const uint64_t values = 16 * 16 * 2;

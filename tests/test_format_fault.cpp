@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/serialize.hpp"
 #include "util/contentstore.hpp"
 #include "util/faultinject.hpp"
@@ -34,6 +34,7 @@ namespace {
 using namespace tbstc;
 using core::Matrix;
 using format::DecodeErrorKind;
+using tbstc::testutil::makeMask;
 using util::FaultInjector;
 
 struct Layer
@@ -54,7 +55,7 @@ constexpr Layer kLayers[] = {
 struct Stream
 {
     Matrix w;
-    core::TbsResult tbs;
+    core::MaskOutput tbs;
     std::vector<uint8_t> bytes;
     format::DdcParsed parsed;
     format::DdcLayout layout;
@@ -62,8 +63,8 @@ struct Stream
     explicit Stream(const Layer &l, uint64_t seed = 11)
     {
         w = workload::synthWeights({l.name, l.rows, l.cols, 1}, seed);
-        tbs = core::tbsMask(core::magnitudeScores(w), l.sparsity, 8,
-                            core::defaultCandidates(8));
+        tbs =
+            makeMask(core::Pattern::TBS, core::magnitudeScores(w), l.sparsity);
         bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
         auto decoded = format::tryDeserializeDdc(bytes);
         if (!decoded.ok())

@@ -11,7 +11,7 @@
 #include <span>
 
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/encoding.hpp"
 #include "format/serialize.hpp"
 #include "util/fp16.hpp"
@@ -23,18 +23,19 @@ namespace {
 using namespace tbstc;
 using core::Matrix;
 using format::DecodeErrorKind;
+using tbstc::testutil::makeMask;
 
 struct Fixture
 {
     Matrix w;
-    core::TbsResult tbs;
+    core::MaskOutput tbs;
 
     explicit Fixture(uint64_t seed, size_t rows = 64, size_t cols = 64,
                      double sparsity = 0.5)
     {
         w = workload::synthWeights({"ser-probe", rows, cols, 1}, seed);
-        tbs = core::tbsMask(core::magnitudeScores(w), sparsity, 8,
-                            core::defaultCandidates(8));
+        tbs = makeMask(core::Pattern::TBS, core::magnitudeScores(w),
+                       sparsity);
     }
 };
 
@@ -128,9 +129,9 @@ TEST(SerializeDdc, InfoTableBitLayout)
     Matrix w(16, 8);
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = static_cast<float>(i + 1);
+    // Fully dense: 8:8.
     const auto res =
-        core::tbsMask(core::magnitudeScores(w), 0.0, 8,
-                      core::defaultCandidates(8)); // Fully dense: 8:8.
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.0);
     const auto bytes = format::serializeDdc(w, res.mask, res.meta);
 
     // Locate the info table via the v2 section map (header and group
@@ -210,8 +211,8 @@ TEST(SerializeDdc, NegativeZeroSurvives)
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = 1.0f;
     w.at(0, 0) = -0.0f;
-    const auto res = core::tbsMask(core::magnitudeScores(w), 0.0, 8,
-                                   core::defaultCandidates(8));
+    const auto res =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.0);
     const auto parsed =
         decodeValid(format::serializeDdc(w, res.mask, res.meta));
     EXPECT_EQ(parsed.mask.at(0, 0), 1);

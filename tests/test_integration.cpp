@@ -12,7 +12,7 @@
 #include "accel/accelerator.hpp"
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/codec.hpp"
 #include "format/encoding.hpp"
 #include "sim/dram.hpp"
@@ -24,6 +24,7 @@ namespace {
 using namespace tbstc;
 using core::Matrix;
 using core::Pattern;
+using tbstc::testutil::makeMask;
 using tbstc::util::Rng;
 
 Matrix
@@ -52,8 +53,8 @@ TEST(Integration, SpmmThroughDdcMatchesReference)
 {
     const Matrix w = heavyTailMatrix(64, 64, 1);
     const Matrix scores = core::magnitudeScores(w);
-    const core::TbsResult res =
-        core::tbsMask(scores, 0.5, 8, core::defaultCandidates(8));
+    const core::MaskOutput res =
+        makeMask(core::Pattern::TBS, scores, 0.5);
 
     const auto enc = format::encodeDdc(w, res.mask, res.meta);
     const Matrix a = enc->decode();
@@ -74,8 +75,8 @@ TEST(Integration, CodecOutputComputesCorrectBlockProduct)
     const size_t m = 8;
     const Matrix w = heavyTailMatrix(m, m, 3);
     const Matrix scores = core::magnitudeScores(w);
-    const core::TbsResult res =
-        core::tbsMask(scores, 0.5, m, core::defaultCandidates(m));
+    const core::MaskOutput res =
+        makeMask(core::Pattern::TBS, scores, 0.5, m);
     const Matrix a = core::applyMask(w, res.mask);
 
     // Column-major storage stream of the block.
@@ -106,8 +107,8 @@ TEST(Integration, DdcBandwidthBeatsSdcAndCsr)
 {
     const Matrix w = structuredMatrix(256, 256, 4);
     const Matrix scores = core::magnitudeScores(w);
-    const core::TbsResult res =
-        core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+    const core::MaskOutput res =
+        makeMask(core::Pattern::TBS, scores, 0.75);
 
     const sim::DramModel dram{sim::ArchConfig{}};
     const auto util = [&](const format::Encoding &enc) {
@@ -159,8 +160,8 @@ TEST(Integration, SchedulingLiftsUtilisation)
 TEST(Integration, DirectionDistributionUsesAllCategories)
 {
     const Matrix w = structuredMatrix(256, 256, 5);
-    const core::TbsResult res = core::tbsMask(
-        core::magnitudeScores(w), 0.6, 8, core::defaultCandidates(8));
+    const core::MaskOutput res =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.6);
     const auto dist = core::directionDistribution(res.meta);
     EXPECT_GT(dist.rowFrac, 0.02);
     EXPECT_GT(dist.colFrac, 0.02);

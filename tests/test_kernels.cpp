@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/serialize.hpp"
 #include "kernels/kernels.hpp"
 #include "util/crc32.hpp"
@@ -29,6 +29,7 @@ namespace {
 using namespace tbstc;
 using kernels::Isa;
 using kernels::KernelTable;
+using tbstc::testutil::makeMask;
 
 /** Every level this host can run beyond scalar. */
 std::vector<const KernelTable *>
@@ -299,8 +300,7 @@ TEST(KernelGolden, MaskAndStreamBytesAreIsaInvariant)
     bool first = true;
     for (Isa level : kernels::supportedIsas()) {
         ASSERT_TRUE(kernels::setIsa(level));
-        const auto tbs = core::tbsMask(scores, 0.5, 8,
-                                       core::defaultCandidates(8));
+        const auto tbs = makeMask(core::Pattern::TBS, scores, 0.5);
         const auto maskBytes = tbs.mask.toBytes();
         const auto stream = format::serializeDdc(w, tbs.mask, tbs.meta);
         const uint64_t mh = fnv(maskBytes.data(), maskBytes.size());
@@ -331,8 +331,8 @@ TEST(KernelGolden, TruncatedIndexSectionFailsUnderEveryIsa)
 {
     IsaGuard guard;
     const auto w = workload::synthWeights({"kern-fault", 64, 64, 1}, 9);
-    const auto tbs = core::tbsMask(core::magnitudeScores(w), 0.5, 8,
-                                   core::defaultCandidates(8));
+    const auto tbs =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.5);
     const auto stream = format::serializeDdc(w, tbs.mask, tbs.meta);
     for (Isa level : kernels::supportedIsas()) {
         ASSERT_TRUE(kernels::setIsa(level));

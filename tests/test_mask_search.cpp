@@ -8,17 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/mask_search.hpp"
 #include "core/maskspace.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace tbstc::core;
+using tbstc::testutil::maskOf;
 using tbstc::util::FatalError;
 using tbstc::util::Rng;
 
@@ -83,18 +87,21 @@ TEST(MaskSearch, ValidatesRequestFields)
 
 TEST(MaskSearch, EmptyAndGreedyMatchLegacyTbsMask)
 {
+    // "" and "greedy" both name Algorithm 1: the same mask and grid.
     const Matrix s = randomScores(32, 32, 44);
-    const TbsResult legacy =
-        tbsMask(s, 0.75, 8, defaultCandidates(8));
-    for (const char *name : {"", kGreedyStrategy}) {
-        MaskRequest req;
-        req.strategy = name;
-        req.sparsity = 0.75;
-        const auto res = tryMakeMask(s, req);
-        ASSERT_TRUE(res.ok()) << name;
-        EXPECT_EQ(res->mask.hamming(legacy.mask), 0u) << name;
-        EXPECT_EQ(res->usHamming, legacy.usHamming) << name;
-        EXPECT_EQ(res->meta.blocks.size(), 16u) << name;
+    MaskRequest req;
+    req.sparsity = 0.75;
+    const auto empty = tryMakeMask(s, req);
+    req.strategy = kGreedyStrategy;
+    const auto greedy = tryMakeMask(s, req);
+    ASSERT_TRUE(empty.ok());
+    ASSERT_TRUE(greedy.ok());
+    EXPECT_EQ(empty->mask, greedy->mask);
+    EXPECT_EQ(empty->meta.blocks.size(), 16u);
+    EXPECT_TRUE(validateTbs(greedy->mask, greedy->meta));
+    for (size_t i = 0; i < empty->meta.blocks.size(); ++i) {
+        EXPECT_EQ(empty->meta.blocks[i].n, greedy->meta.blocks[i].n);
+        EXPECT_EQ(empty->meta.blocks[i].dim, greedy->meta.blocks[i].dim);
     }
 }
 
@@ -107,14 +114,86 @@ TEST(MaskSearch, NonTbsPatternsAcceptKnownStrategies)
     const auto res = tryMakeMask(s, req);
     ASSERT_TRUE(res.ok());
     EXPECT_TRUE(validateTs(res->mask, 4, 8));
-    EXPECT_EQ(res->usHamming,
-              res->mask.hamming(usMask(s, req.sparsity)));
+    EXPECT_TRUE(res->meta.blocks.empty());
+    EXPECT_EQ(res->meta.m, 8u);
 
     for (const char *name : {"nope", "optimal"}) {
         req.strategy = name; // Unknown: an error even off-TBS.
         EXPECT_EQ(tryMakeMask(s, req).error().kind,
                   MaskErrorKind::UnknownStrategy)
             << name;
+    }
+}
+
+TEST(MaskSearch, PatternMaskAndTryMakeMaskAgree)
+{
+    // patternMask is tryMakeMask's throwing form: for every family and
+    // every request, it throws exactly when tryMakeMask reports an
+    // error, and otherwise returns the same mask.
+    struct Case
+    {
+        size_t rows;
+        size_t cols;
+        double sparsity;
+        size_t m;
+        std::vector<uint8_t> candidates;
+    };
+    const Case cases[] = {
+        {16, 16, 0.5, 8, {}},    {32, 64, 0.75, 8, {}},
+        {16, 16, 0.0, 8, {}},    {16, 16, 1.0, 8, {}},
+        {12, 16, 0.5, 8, {}},    {100, 100, 0.5, 8, {}},
+        {16, 12, 0.5, 4, {}},    {16, 16, 1.5, 8, {}},
+        {16, 16, -0.1, 8, {}},   {16, 16, 0.5, 0, {}},
+        {16, 15, 0.5, 5, {}},    {16, 16, 0.5, 8, {0, 3, 9}},
+        {16, 16, 0.5, 8, {2, 6}}, {16, 16, 0.5, 2, {}},
+        {16, 14, 0.5, 7, {}},    {0, 0, 0.5, 8, {}},
+    };
+    for (const Pattern p :
+         {Pattern::Dense, Pattern::US, Pattern::TS, Pattern::RSV,
+          Pattern::RSH, Pattern::TBS, Pattern::SS}) {
+        for (const Case &c : cases) {
+            const Matrix s = randomScores(c.rows, c.cols, 48);
+            MaskRequest req;
+            req.pattern = p;
+            req.sparsity = c.sparsity;
+            req.m = c.m;
+            req.candidates = c.candidates;
+            const auto res = tryMakeMask(s, req);
+            const std::string where = patternName(p) + " "
+                + std::to_string(c.rows) + "x" + std::to_string(c.cols)
+                + " s=" + std::to_string(c.sparsity)
+                + " m=" + std::to_string(c.m);
+            if (res.ok())
+                EXPECT_EQ(patternMask(p, s, c.sparsity, c.m, c.candidates),
+                          res->mask)
+                    << where;
+            else
+                EXPECT_THROW(
+                    patternMask(p, s, c.sparsity, c.m, c.candidates),
+                    FatalError)
+                    << where;
+        }
+    }
+}
+
+TEST(MaskSearch, DenseAndUsHaveNoTilingRule)
+{
+    // Dense and US have no tiles: a 100x100 matrix at m = 8 is a
+    // valid request for them, but for no tile family.
+    const Matrix s = randomScores(100, 100, 49);
+    MaskRequest req;
+    req.pattern = Pattern::Dense;
+    const auto res = tryMakeMask(s, req);
+    ASSERT_TRUE(res.ok());
+    EXPECT_EQ(res->mask.nnz(), 100u * 100u);
+    req.pattern = Pattern::US;
+    EXPECT_EQ(tryMakeMask(s, req)->mask.nnz(), 100u * 100u / 2);
+    for (const Pattern p : {Pattern::TS, Pattern::RSV, Pattern::RSH,
+                            Pattern::TBS, Pattern::SS}) {
+        req.pattern = p;
+        EXPECT_EQ(tryMakeMask(s, req).error().kind,
+                  MaskErrorKind::NotDivisible)
+            << patternName(p);
     }
 }
 
@@ -136,7 +215,7 @@ TEST(SlideSparse, GeneratedMasksValidateAcrossBlockSizes)
     for (const size_t m : {4u, 8u, 16u}) {
         const Matrix s = randomScores(2 * m, 4 * m, 50 + m);
         for (const double sp : {0.5, 0.75}) {
-            const Mask mask = ssMask(s, sp, m);
+            const Mask mask = maskOf(Pattern::SS, s, sp, m);
             EXPECT_TRUE(validateSlideSparse(mask, m))
                 << "m=" << m << " s=" << sp;
             const auto size = static_cast<double>(mask.size());
@@ -161,7 +240,7 @@ TEST(SlideSparse, ValidatorRejectsOverfullTile)
 {
     const size_t m = 8;
     const Matrix s = randomScores(m, 2 * m, 60);
-    Mask mask = ssMask(s, 0.5, m);
+    Mask mask = maskOf(Pattern::SS, s, 0.5, m);
     ASSERT_TRUE(validateSlideSparse(mask, m));
     // Saturate tile 0 of row 0: m kept > the 2N-2 = m-2 cap.
     for (size_t c = 0; c < m; ++c)
@@ -173,7 +252,8 @@ TEST(SlideSparse, TileCapIsTwoBelowM)
 {
     const size_t m = 8;
     const Matrix s = randomScores(4 * m, 4 * m, 61);
-    const Mask mask = ssMask(s, 0.25, m); // Dense enough to saturate.
+    // Dense enough to saturate.
+    const Mask mask = maskOf(Pattern::SS, s, 0.25, m);
     for (size_t r = 0; r < mask.rows(); ++r)
         for (size_t t = 0; t < mask.cols(); t += m)
             EXPECT_LE(mask.rangeNnz(r, t, m), m - 2)
@@ -182,19 +262,34 @@ TEST(SlideSparse, TileCapIsTwoBelowM)
 
 TEST(SlideSparse, CandidateLadderIsContiguous)
 {
-    const auto cand = slideSparseCandidates(8);
-    ASSERT_EQ(cand.size(), 7u);
-    for (size_t i = 0; i < cand.size(); ++i)
-        EXPECT_EQ(cand[i], i);
-    EXPECT_THROW(slideSparseCandidates(3), FatalError);
-    EXPECT_THROW(slideSparseCandidates(2), FatalError);
-    EXPECT_THROW(slideSparseCandidates(7), FatalError);
+    // Per-tile keep counts come from the contiguous 0..m-2 ladder, not
+    // the power-of-two default candidates: 3 and 5 of 8 both occur.
+    const size_t m = 8;
+    const Matrix s = randomScores(32, 32 * m, 63);
+    const Mask mask = maskOf(Pattern::SS, s, 0.5, m);
+    std::vector<bool> seen(m + 1);
+    for (size_t r = 0; r < mask.rows(); ++r)
+        for (size_t t = 0; t < mask.cols(); t += m)
+            seen[mask.rangeNnz(r, t, m)] = true;
+    EXPECT_TRUE(seen[3]);
+    EXPECT_TRUE(seen[5]);
+    EXPECT_FALSE(seen[m - 1]);
+    EXPECT_FALSE(seen[m]);
+    // The ladder needs an even m >= 4 (m = 2N) of at most 256.
+    MaskRequest req;
+    req.pattern = Pattern::SS;
+    for (const size_t bad : {3u, 2u, 7u, 258u}) {
+        req.m = bad;
+        EXPECT_EQ(tryMakeMask(s, req).error().kind,
+                  MaskErrorKind::BadBlockSize)
+            << bad;
+    }
 }
 
 TEST(SlideSparse, PatternMaskDispatches)
 {
     const Matrix s = randomScores(16, 16, 62);
-    const Mask direct = ssMask(s, 0.75, 8);
+    const Mask direct = maskOf(Pattern::SS, s, 0.75);
     const Mask via = patternMask(Pattern::SS, s, 0.75, 8,
                                  defaultCandidates(8));
     EXPECT_EQ(direct.hamming(via), 0u);

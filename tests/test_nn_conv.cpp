@@ -10,6 +10,7 @@
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "nn/conv_layer.hpp"
 #include "util/rng.hpp"
 
@@ -17,6 +18,7 @@ namespace {
 
 using namespace tbstc;
 using core::Matrix;
+using tbstc::testutil::makeMask;
 using workload::ConvSpec;
 
 /** Synthetic stripe-orientation image classification task. */
@@ -186,8 +188,8 @@ TEST(SimpleCnn, TbsMaskedConvStillLearns)
         // Regenerate the TBS mask on conv2's lowered weights (72 cols
         // = 9 blocks of 8) each epoch, exactly like sparse training.
         auto &w2 = cnn.conv2().weights();
-        const auto res = core::tbsMask(core::magnitudeScores(w2), 0.5,
-                                       8, core::defaultCandidates(8));
+        const auto res =
+            makeMask(core::Pattern::TBS, core::magnitudeScores(w2), 0.5);
         cnn.conv2().setMask(res.mask);
         EXPECT_TRUE(core::validateTbs(res.mask, res.meta));
 
@@ -209,8 +211,7 @@ TEST(Conv2dLayer, GradientCriterionScoresConvWeights)
     for (auto &v : g.data())
         v = static_cast<float>(rng.gaussian());
     const Matrix scores = core::gradientScores(w, g);
-    const auto res = core::tbsMask(scores, 0.5, 8,
-                                   core::defaultCandidates(8));
+    const auto res = makeMask(core::Pattern::TBS, scores, 0.5);
     EXPECT_TRUE(core::validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.06);
 }

@@ -12,7 +12,7 @@
 
 #include "accel/accelerator.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "mask_util.hpp"
 #include "format/codec.hpp"
 #include "format/serialize.hpp"
 #include "sim/scheduler.hpp"
@@ -23,6 +23,7 @@
 namespace {
 
 using namespace tbstc;
+using tbstc::testutil::makeMask;
 
 // ---------------------------------------------------------------------
 // Serializer sweep.
@@ -38,8 +39,8 @@ TEST_P(SerializeSweep, RoundTripAcrossGrid)
     const auto [sparsity, dim] = GetParam();
     const auto w = workload::synthWeights(
         {"ser-sweep", dim, dim, 1}, 1000 + dim);
-    const auto tbs = core::tbsMask(core::magnitudeScores(w), sparsity,
-                                   8, core::defaultCandidates(8));
+    const auto tbs =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), sparsity);
     const auto bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
     const auto parsed = format::tryDeserializeDdc(bytes);
     ASSERT_TRUE(parsed.ok());
@@ -196,8 +197,9 @@ TEST_P(CodecFuzz, ConversionIsLossless)
     for (size_t i = 0; i < out.values.size(); ++i)
         out_set.emplace(out.values[i], out.rids[i], out.iids[i]);
     EXPECT_EQ(in_set, out_set);
-    if (!storage.empty())
+    if (!storage.empty()) {
         EXPECT_GE(out.cycles, (storage.size() + 1) / 2);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,

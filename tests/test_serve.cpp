@@ -237,6 +237,40 @@ TEST(ServeProtocol, ValidationErrorsCarryTheRequestId)
         parseRequest(R"({"op": "sparsify", "layer": "bad"})").ok());
 }
 
+TEST(ServeProtocol, SparsifyLayerDefaultsTo512x512x1)
+{
+    // A sparsify without `layer` is the documented 512x512x1 request.
+    const auto implicit = parseRequest(R"({"id": 1, "op": "sparsify"})");
+    ASSERT_TRUE(implicit.ok()) << implicit.error().message;
+    const auto explicit_layer = parseRequest(
+        R"({"id": 1, "op": "sparsify", "layer": "512x512x1"})");
+    ASSERT_TRUE(explicit_layer.ok());
+    EXPECT_EQ(implicit->sparsify.layer, "512x512x1");
+    EXPECT_EQ(serializeRequest(*implicit),
+              serializeRequest(*explicit_layer));
+    const SparsifyResult a = executeSparsify(implicit->sparsify);
+    const SparsifyResult b = executeSparsify(explicit_layer->sparsify);
+    EXPECT_EQ(a.rows, 512u);
+    EXPECT_EQ(a.nnz, b.nnz);
+    EXPECT_EQ(a.ddcBytes, b.ddcBytes);
+    EXPECT_EQ(a.ddcCrc32, b.ddcCrc32);
+}
+
+TEST(ServeExec, SparsifyCrcFollowsTheStreamContent)
+{
+    // Two seeds of one shape give streams of one length but other
+    // weights, so the reported CRC must differ. (A CRC-32 over a whole
+    // DDC2 stream would not: each section ends in its own CRC-32.)
+    SparsifySpec spec;
+    spec.layer = "64x64x1";
+    const SparsifyResult a = executeSparsify(spec);
+    spec.seed = 7;
+    const SparsifyResult b = executeSparsify(spec);
+    ASSERT_EQ(a.ddcBytes, b.ddcBytes);
+    EXPECT_NE(a.ddcCrc32, b.ddcCrc32);
+    EXPECT_EQ(executeSparsify(spec).ddcCrc32, b.ddcCrc32);
+}
+
 TEST(ServeProtocol, UnknownFieldsAreIgnored)
 {
     const auto parsed = parseRequest(

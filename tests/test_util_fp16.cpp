@@ -70,8 +70,9 @@ TEST(Fp16, RelativeErrorBounded)
     for (int i = 0; i < 10000; ++i) {
         const auto v = static_cast<float>(rng.uniform(-100.0, 100.0));
         const float r = fp16Round(v);
-        if (v != 0.0f)
+        if (v != 0.0f) {
             EXPECT_LE(std::fabs(r - v) / std::fabs(v), 1.0 / 1024.0);
+        }
     }
 }
 
