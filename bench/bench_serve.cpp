@@ -145,7 +145,12 @@ BM_ServeRunWarmCache(benchmark::State &state)
 }
 BENCHMARK(BM_ServeRunWarmCache)->UseRealTime();
 
-/** Sparsify round-trip (Algorithm 1 + DDC summary, no simulation). */
+/**
+ * Warm sparsify round-trip. The priming request files the answer in
+ * the content store, so each timed iteration is a "sparsify" hit:
+ * protocol, queue, batcher and store lookup, no Algorithm 1 or DDC
+ * serialization.
+ */
 void
 BM_ServeSparsifyRoundTrip(benchmark::State &state)
 {

@@ -64,7 +64,7 @@ enum class MaskErrorKind : uint8_t
     UnknownStrategy, ///< Strategy is neither "" nor "greedy".
     BadSparsity,     ///< Sparsity outside [0, 1].
     BadBlockSize,    ///< m == 0, or illegal for the pattern (SS: even,
-                     ///< 4 <= m <= 256).
+                     ///< 4 <= m <= 256; TBS, RS-V, RS-H: m <= 255).
     NotDivisible,    ///< Matrix does not tile by m as the pattern needs
                      ///< (columns; TBS rows too; never Dense or US).
     BadCandidates,   ///< A candidate N exceeds m.
@@ -86,7 +86,8 @@ bool isMaskStrategy(const std::string &name);
 /**
  * Validate @p req and produce the mask. The rules, checked in this
  * order: a known strategy, sparsity in [0, 1], m >= 1 (SS: even and
- * 4 <= m <= 256), columns divisible by m (TBS: rows too; Dense and US
+ * 4 <= m <= 256; TBS, RS-V and RS-H, whose per-block or per-tile N
+ * is a uint8_t: m <= 255), columns divisible by m (TBS: rows too; Dense and US
  * have no tiles, so no tiling rule), and every candidate N <= m.
  * Errors come back as a MaskError instead of a thrown FatalError.
  */

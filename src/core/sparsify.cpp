@@ -815,6 +815,14 @@ tryMakeMask(const Matrix &scores, const MaskRequest &req)
                     util::formatStr("SlideSparse requires an even block "
                                     "size 4 <= m <= 256; got {}",
                                     m));
+    // Their per-block (RS-H: per-tile) N is a uint8_t: at m = 256 the
+    // top N would wrap to 0.
+    if ((p == Pattern::TBS || p == Pattern::RSV || p == Pattern::RSH)
+        && m > 255)
+        return fail(MaskErrorKind::BadBlockSize,
+                    util::formatStr("{} stores N in 8 bits, so m must be "
+                                    "<= 255; got {}",
+                                    patternName(p), m));
     // Dense and US have no tiles to align.
     const bool tiled = p != Pattern::Dense && p != Pattern::US;
     if (tiled

@@ -1,12 +1,16 @@
 #include "exec.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <stdexcept>
 
 #include "core/prune.hpp"
 #include "format/serialize.hpp"
+#include "obs/metrics.hpp"
+#include "util/contentstore.hpp"
 #include "util/crc32.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "workload/synth.hpp"
 
@@ -82,6 +86,78 @@ sealsCrc32(std::span<const uint8_t> bytes)
     return crc;
 }
 
+std::string
+badLayerMessage(const std::string &layer)
+{
+    return "layer spec must be XxYxNB, got '" + layer + "'";
+}
+
+/**
+ * Content key of one sparsify answer: every input trySparsify reads,
+ * plus a schema tag. "" and "greedy" name one search and one key.
+ */
+uint64_t
+sparsifyCacheKey(const workload::GemmShape &shape,
+                 const SparsifySpec &spec)
+{
+    util::Hasher h;
+    h.str("tbstc.cache.sparsify.v1");
+    h.str(shape.name);
+    h.u64(shape.x).u64(shape.y).u64(shape.nb);
+    h.u64(kSparsifyMaxRows);
+    h.u64(spec.seed);
+    h.f64(spec.sparsity);
+    h.u64(spec.m);
+    h.str(spec.strategy.empty() ? core::kGreedyStrategy : spec.strategy);
+    return h.digest();
+}
+
+std::vector<uint8_t>
+serializeSparsify(const SparsifyResult &r)
+{
+    util::ByteWriter w;
+    w.u64(r.rows);
+    w.u64(r.cols);
+    w.u64(r.nnz);
+    w.u64(r.ddcBytes);
+    w.u64(r.ddcCrc32);
+    return w.bytes();
+}
+
+std::optional<SparsifyResult>
+deserializeSparsify(std::span<const uint8_t> bytes)
+{
+    util::ByteReader r(bytes);
+    SparsifyResult out;
+    out.rows = r.u64();
+    out.cols = r.u64();
+    out.nnz = r.u64();
+    out.ddcBytes = r.u64();
+    const uint64_t crc = r.u64();
+    if (!r.done() || crc > UINT32_MAX)
+        return std::nullopt;
+    out.ddcCrc32 = static_cast<uint32_t>(crc);
+    return out;
+}
+
+SparsifyResult
+executeSparsifyUncached(const SparsifySpec &spec)
+{
+    const auto layer = trySparsify(spec);
+    if (!layer)
+        throw std::invalid_argument(layer.error());
+    const core::MaskOutput &tbs = layer->tbs;
+    const auto bytes = format::serializeDdc(layer->w, tbs.mask, tbs.meta);
+
+    SparsifyResult out;
+    out.rows = layer->w.rows();
+    out.cols = layer->w.cols();
+    out.nnz = tbs.mask.nnz();
+    out.ddcBytes = bytes.size();
+    out.ddcCrc32 = sealsCrc32(bytes);
+    return out;
+}
+
 } // namespace
 
 std::optional<accel::AccelKind>
@@ -152,8 +228,7 @@ executeRun(const RunSpec &spec)
     if (!spec.layer.empty()) {
         const auto shape = tryParseLayer(spec.layer, "cli.layer");
         if (!shape)
-            throw std::invalid_argument(
-                "layer spec must be XxYxNB, got '" + spec.layer + "'");
+            throw std::invalid_argument(badLayerMessage(spec.layer));
         accel::RunRequest req;
         req.shape = *shape;
         req.sparsity = spec.sparsity;
@@ -195,8 +270,7 @@ trySparsify(const SparsifySpec &spec, const std::string &shapeName)
 {
     const auto shape = tryParseLayer(spec.layer, shapeName);
     if (!shape)
-        return util::unexpected("layer spec must be XxYxNB, got '"
-                                + spec.layer + "'");
+        return util::unexpected(badLayerMessage(spec.layer));
     if (spec.m == 0 || spec.m > 64)
         return util::unexpected(std::string("block size m out of range"));
 
@@ -218,19 +292,22 @@ trySparsify(const SparsifySpec &spec, const std::string &shapeName)
 SparsifyResult
 executeSparsify(const SparsifySpec &spec)
 {
-    const auto layer = trySparsify(spec);
-    if (!layer)
-        throw std::invalid_argument(layer.error());
-    const core::MaskOutput &tbs = layer->tbs;
-    const auto bytes = format::serializeDdc(layer->w, tbs.mask, tbs.meta);
-
-    SparsifyResult out;
-    out.rows = layer->w.rows();
-    out.cols = layer->w.cols();
-    out.nnz = tbs.mask.nnz();
-    out.ddcBytes = bytes.size();
-    out.ddcCrc32 = sealsCrc32(bytes);
-    return out;
+    // A malformed layer never reaches the store.
+    const auto shape = tryParseLayer(spec.layer, kSparsifyShapeName);
+    if (!shape)
+        throw std::invalid_argument(badLayerMessage(spec.layer));
+    // A disabled store computes and files nothing (CacheOutcome::Disabled).
+    auto [bytes, outcome] = util::ContentStore::instance().getOrCompute(
+        "sparsify", sparsifyCacheKey(*shape, spec),
+        [&] { return serializeSparsify(executeSparsifyUncached(spec)); });
+    if (obs::metricsEnabled()) {
+        static const util::CacheCounters counters("sparsify");
+        counters.count(outcome);
+    }
+    if (const auto result = deserializeSparsify(bytes))
+        return *result;
+    util::warn("sparsify cache payload undecodable; recomputing");
+    return executeSparsifyUncached(spec);
 }
 
 std::string

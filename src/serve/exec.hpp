@@ -105,6 +105,9 @@ struct SparsifiedLayer
     core::MaskOutput tbs; ///< Algorithm 1's mask and block metadata.
 };
 
+/** Shape name of every daemon sparsify layer (it seeds the weights). */
+inline constexpr const char *kSparsifyShapeName = "cli.formats";
+
 /**
  * The sparsify pipeline: synthesize the layer's weights (row-capped)
  * and run Algorithm 1 on their magnitudes. `tbstc formats` and
@@ -115,12 +118,15 @@ struct SparsifiedLayer
  */
 util::Result<SparsifiedLayer, std::string>
 trySparsify(const SparsifySpec &spec,
-            const std::string &shapeName = "cli.formats");
+            const std::string &shapeName = kSparsifyShapeName);
 
 /**
  * Execute a sparsify request: trySparsify, then serialize the DDC2
  * stream and summarize it. For the default layer the stream is
- * byte-identical to `tbstc formats --dump`. Throws
+ * byte-identical to `tbstc formats --dump`. The summary is a pure
+ * function of the spec, so it is answered from util::ContentStore
+ * (blob kind "sparsify") under the same switches as the profile
+ * cache; a spec whose computation throws is never filed. Throws
  * std::invalid_argument on a malformed spec.
  */
 SparsifyResult executeSparsify(const SparsifySpec &spec);

@@ -359,26 +359,6 @@ deserializeStats(std::span<const uint8_t> bytes)
     return s;
 }
 
-/** Host-domain cache telemetry (hit patterns are schedule-dependent). */
-void
-countSimCache(util::CacheOutcome outcome)
-{
-    if (!obs::metricsEnabled())
-        return;
-    static const obs::Counter hits =
-        obs::counter("cache.sim.hits", obs::Domain::Host);
-    static const obs::Counter disk_hits =
-        obs::counter("cache.sim.disk_hits", obs::Domain::Host);
-    static const obs::Counter misses =
-        obs::counter("cache.sim.misses", obs::Domain::Host);
-    switch (outcome) {
-      case util::CacheOutcome::MemoryHit: hits.add(); break;
-      case util::CacheOutcome::DiskHit:   disk_hits.add(); break;
-      case util::CacheOutcome::Computed:  misses.add(); break;
-      case util::CacheOutcome::Disabled:  break;
-    }
-}
-
 } // namespace
 
 RunStats
@@ -392,7 +372,10 @@ simulateLayer(const LayerProfile &layer, const ArchConfig &cfg,
             return serializeStats(
                 simulateLayerUncached(layer, cfg, energy, opts));
         });
-        countSimCache(outcome);
+        if (obs::metricsEnabled()) {
+            static const util::CacheCounters counters("sim");
+            counters.count(outcome);
+        }
         if (const auto stats = deserializeStats(bytes)) {
             recordPipelineTelemetry(layer, *stats);
             return *stats;

@@ -352,4 +352,23 @@ ContentStore::stats() const
     return stats_;
 }
 
+CacheCounters::CacheCounters(std::string_view kind)
+{
+    const std::string prefix = "cache." + std::string(kind) + ".";
+    hits_ = obs::counter(prefix + "hits", obs::Domain::Host);
+    diskHits_ = obs::counter(prefix + "disk_hits", obs::Domain::Host);
+    misses_ = obs::counter(prefix + "misses", obs::Domain::Host);
+}
+
+void
+CacheCounters::count(CacheOutcome outcome) const
+{
+    switch (outcome) {
+      case CacheOutcome::MemoryHit: hits_.add(); break;
+      case CacheOutcome::DiskHit:   diskHits_.add(); break;
+      case CacheOutcome::Computed:  misses_.add(); break;
+      case CacheOutcome::Disabled:  break;
+    }
+}
+
 } // namespace tbstc::util

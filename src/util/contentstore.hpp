@@ -38,6 +38,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace tbstc::util {
 
 /** Where a getOrCompute() payload came from. */
@@ -156,6 +158,27 @@ class ContentStore
     std::unordered_map<MapKey, std::vector<uint8_t>, MapKeyHash> mem_;
     std::unordered_set<MapKey, MapKeyHash> pending_;
     Stats stats_;
+};
+
+/**
+ * Host-domain counters of one blob kind's getOrCompute() outcomes:
+ * `cache.<kind>.hits` (memory), `.disk_hits` and `.misses`. Hit
+ * patterns are schedule-dependent, so they never enter the
+ * deterministic export. Hold one as a function-local static at the
+ * lookup site, registered once metrics are on.
+ */
+class CacheCounters
+{
+  public:
+    explicit CacheCounters(std::string_view kind);
+
+    /** Count @p outcome; a disabled store's pass-through counts nothing. */
+    void count(CacheOutcome outcome) const;
+
+  private:
+    obs::Counter hits_;
+    obs::Counter diskHits_;
+    obs::Counter misses_;
 };
 
 /** Little-endian payload writer for cache blobs. */

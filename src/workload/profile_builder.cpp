@@ -125,26 +125,6 @@ deserializeProfile(std::span<const uint8_t> bytes)
     return p;
 }
 
-/** Host-domain cache telemetry (hit patterns are schedule-dependent). */
-void
-countProfileCache(util::CacheOutcome outcome)
-{
-    if (!obs::metricsEnabled())
-        return;
-    static const obs::Counter hits =
-        obs::counter("cache.profile.hits", obs::Domain::Host);
-    static const obs::Counter disk_hits =
-        obs::counter("cache.profile.disk_hits", obs::Domain::Host);
-    static const obs::Counter misses =
-        obs::counter("cache.profile.misses", obs::Domain::Host);
-    switch (outcome) {
-      case util::CacheOutcome::MemoryHit: hits.add(); break;
-      case util::CacheOutcome::DiskHit:   disk_hits.add(); break;
-      case util::CacheOutcome::Computed:  misses.add(); break;
-      case util::CacheOutcome::Disabled:  break;
-    }
-}
-
 LayerProfile buildLayerProfileUncached(const ProfileSpec &spec);
 
 } // namespace
@@ -159,7 +139,10 @@ buildLayerProfile(const ProfileSpec &spec)
     auto [bytes, outcome] = store.getOrCompute(
         "profile", key,
         [&] { return serializeProfile(buildLayerProfileUncached(spec)); });
-    countProfileCache(outcome);
+    if (obs::metricsEnabled()) {
+        static const util::CacheCounters counters("profile");
+        counters.count(outcome);
+    }
     if (auto profile = deserializeProfile(bytes))
         return std::move(*profile);
     // Defensive: an undecodable payload (e.g. a hash collision across
@@ -182,6 +165,13 @@ buildLayerProfileUncached(const ProfileSpec &spec)
         rows = std::max<uint64_t>(m,
                                   spec.maxElements / shape.y / m * m);
     }
+    // Every family's block grid (TBS's own, the others' derived meta)
+    // needs whole m x m blocks: one check, one message, before paying
+    // for synthesis.
+    if (m == 0 || rows % m != 0 || shape.y % m != 0)
+        util::fatal("weight matrix {}x{} does not tile by m = {}; pad "
+                    "the workload first",
+                    shape.x, shape.y, m);
     const double scale =
         static_cast<double>(shape.x) / static_cast<double>(rows);
 

@@ -6,8 +6,9 @@ Usage: cli_test.py CASE TBSTC_BINARY KERNELS_HPP
 Each CASE is one ctest entry (see tests/CMakeLists.txt). The cases pin
 the driver's user-facing contract: every subcommand is reachable from
 `tbstc help`, `tbstc help <cmd>` equals `tbstc <cmd> --help`, usage
-errors exit 2, `serve --help` documents every limit flag, and `cpuinfo`
-reports every primitive of the kernel table.
+errors exit 2, `serve --help` documents every limit flag, `cpuinfo`
+reports every primitive of the kernel table, and a layer that does not
+tile fails alike on every accelerator.
 """
 
 import re
@@ -16,6 +17,9 @@ import sys
 
 SUBCOMMANDS = ["run", "compare", "formats", "fsck", "area", "cpuinfo",
                "serve", "loadgen", "fuzz"]
+
+ACCELERATORS = ["tc", "stc", "vegeta", "highlight", "rmstc", "sgcn",
+                "tbstc", "fan"]
 
 LIMIT_FLAGS = ["--queue", "--retry-after-ms", "--idle-timeout-ms",
                "--read-timeout-ms", "--write-timeout-ms", "--max-conns",
@@ -93,6 +97,17 @@ def cpuinfo_lists_every_kernel_primitive(binary, kernels_hpp):
           f"cpuinfo omits primitives {missing}:\n{r.stdout}")
 
 
+def untileable_layer_fails_alike(binary, _):
+    want = ("tbstc: weight matrix 100x100 does not tile by m = 8; "
+            "pad the workload first\n")
+    for accel in ACCELERATORS:
+        r = tbstc(binary, "run", "--accel", accel, "--layer", "100x100x1")
+        check(r.returncode == 1,
+              f"{accel}: exited {r.returncode}, want 1:\n{r.stderr}")
+        check(r.stderr == want,
+              f"{accel}: stderr {r.stderr!r}, want {want!r}")
+
+
 CASES = {
     "HelpNamesEverySubcommand": help_names_every_subcommand,
     "HelpTopicMatchesDashHelp": help_topic_matches_dash_help,
@@ -100,6 +115,7 @@ CASES = {
     "ServeHelpListsEveryLimitFlag": serve_help_lists_every_limit_flag,
     "CpuinfoListsEveryKernelPrimitive":
         cpuinfo_lists_every_kernel_primitive,
+    "UntileableLayerFailsAlike": untileable_layer_fails_alike,
 }
 
 

@@ -197,6 +197,34 @@ TEST(MaskSearch, DenseAndUsHaveNoTilingRule)
     }
 }
 
+TEST(MaskSearch, BlockSizeAbove255IsRejectedWhereNIsAByte)
+{
+    // TBS and RS-V keep each block's N in a uint8_t, and RS-H each
+    // tile's, so at m = 256 the top N would wrap to 0: a TBS request
+    // at sparsity 0 kept half the weights, RS-H none. All three reject
+    // the block size instead.
+    const Matrix s = randomScores(256, 256, 50);
+    MaskRequest req;
+    req.sparsity = 0.0;
+    req.m = 256;
+    for (const Pattern p : {Pattern::TBS, Pattern::RSV, Pattern::RSH}) {
+        req.pattern = p;
+        const auto res = tryMakeMask(s, req);
+        ASSERT_FALSE(res.ok()) << patternName(p);
+        EXPECT_EQ(res.error().kind, MaskErrorKind::BadBlockSize)
+            << patternName(p);
+        EXPECT_STREQ(maskErrorKindName(res.error().kind),
+                     "bad_block_size");
+    }
+    // TS and SS have no stored N and still take m = 256.
+    req.pattern = Pattern::TS;
+    const auto ts = tryMakeMask(s, req);
+    ASSERT_TRUE(ts.ok());
+    EXPECT_EQ(ts->mask.nnz(), 256u * 256u);
+    req.pattern = Pattern::SS;
+    EXPECT_TRUE(tryMakeMask(s, req).ok());
+}
+
 TEST(MaskSearch, NonTbsColumnsNeedNotDivide)
 {
     // TS constrains row tiles only; 12 rows x 16 cols is legal there

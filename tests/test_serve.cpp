@@ -13,9 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -28,12 +33,15 @@
 #include <unistd.h>
 
 #include "accel/accelerator.hpp"
+#include "obs/metrics.hpp"
 #include "serve/exec.hpp"
 #include "serve/jsonv.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
+#include "util/contentstore.hpp"
+#include "util/faultinject.hpp"
 
 namespace {
 
@@ -269,6 +277,250 @@ TEST(ServeExec, SparsifyCrcFollowsTheStreamContent)
     ASSERT_EQ(a.ddcBytes, b.ddcBytes);
     EXPECT_NE(a.ddcCrc32, b.ddcCrc32);
     EXPECT_EQ(executeSparsify(spec).ddcCrc32, b.ddcCrc32);
+}
+
+// ------------------------------------------------ sparsify result cache
+
+using util::ContentStore;
+
+/** Restore the process-wide store to its default state on scope exit. */
+struct StoreGuard
+{
+    ~StoreGuard()
+    {
+        ContentStore &s = ContentStore::instance();
+        s.setEnabled(true);
+        s.setDiskDir("");
+        s.clearMemory();
+    }
+};
+
+bool
+sameResult(const SparsifyResult &a, const SparsifyResult &b)
+{
+    return a.rows == b.rows && a.cols == b.cols && a.nnz == b.nnz
+        && a.ddcBytes == b.ddcBytes && a.ddcCrc32 == b.ddcCrc32;
+}
+
+std::vector<uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ServeExec, SparsifyCacheMatchesUncachedAnswers)
+{
+    const StoreGuard guard;
+    ContentStore &store = ContentStore::instance();
+    for (const char *layer : {"64x64x1", "128x256x1", "256x128x4"}) {
+        for (const uint64_t seed : {42u, 7u}) {
+            for (const uint64_t m : {2u, 4u, 8u}) {
+                SparsifySpec spec;
+                spec.layer = layer;
+                spec.seed = seed;
+                spec.m = m;
+                store.setEnabled(false);
+                const SparsifyResult reference = executeSparsify(spec);
+                store.setEnabled(true);
+                store.clearMemory();
+                const SparsifyResult cold = executeSparsify(spec);
+                const SparsifyResult warm = executeSparsify(spec);
+                EXPECT_TRUE(sameResult(cold, reference))
+                    << layer << " seed " << seed << " m " << m;
+                EXPECT_TRUE(sameResult(warm, reference))
+                    << layer << " seed " << seed << " m " << m;
+            }
+        }
+    }
+}
+
+TEST(ServeExec, SparsifyCacheKeyCoversEveryField)
+{
+    const StoreGuard guard;
+    ContentStore &store = ContentStore::instance();
+    store.clearMemory();
+    obs::setMetricsEnabled(true);
+    obs::resetMetrics();
+
+    SparsifySpec base;
+    base.layer = "64x64x1";
+    // Each spec differs from base in one key field, so each misses once
+    // and then hits.
+    std::vector<SparsifySpec> specs(8, base);
+    specs[1].layer = "72x64x1";
+    specs[2].layer = "64x72x1";
+    specs[3].layer = "64x64x2";
+    specs[4].seed = 43;
+    specs[5].sparsity = 0.5;
+    specs[6].m = 16;
+    specs[7].sparsity = std::nextafter(base.sparsity, 1.0);
+    for (const SparsifySpec &spec : specs) {
+        const auto before = store.stats();
+        executeSparsify(spec);
+        EXPECT_EQ(store.stats().misses, before.misses + 1) << spec.layer;
+        executeSparsify(spec);
+        EXPECT_EQ(store.stats().memoryHits, before.memoryHits + 1)
+            << spec.layer;
+    }
+
+    // "" and "greedy" name one search, so they share one answer.
+    SparsifySpec greedy = base;
+    greedy.strategy = "greedy";
+    const auto before = store.stats();
+    executeSparsify(greedy);
+    EXPECT_EQ(store.stats().misses, before.misses);
+    EXPECT_EQ(store.stats().memoryHits, before.memoryHits + 1);
+
+    // The outcomes land in the Host-domain counters the stats op shows
+    // (unless TBSTC_OBS=OFF compiled the metrics out).
+    if (obs::metricsEnabled()) {
+        const std::string json = obs::metricsJson(true);
+        EXPECT_NE(json.find("\"cache.sparsify.hits\": 9"),
+                  std::string::npos)
+            << json;
+        EXPECT_NE(json.find("\"cache.sparsify.misses\": 8"),
+                  std::string::npos)
+            << json;
+        EXPECT_NE(json.find("\"cache.sparsify.disk_hits\": 0"),
+                  std::string::npos)
+            << json;
+    }
+    obs::resetMetrics();
+    obs::setMetricsEnabled(false);
+}
+
+TEST(ServeExec, SparsifyCacheNeverReturnsCorruptBlobs)
+{
+    const StoreGuard guard;
+    ContentStore &store = ContentStore::instance();
+    const std::string dir = testing::TempDir() + "tbstc-sparsify-cache";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    SparsifySpec spec;
+    spec.layer = "64x128x1";
+    store.setEnabled(false);
+    const SparsifyResult reference = executeSparsify(spec);
+    store.setEnabled(true);
+    store.setDiskDir(dir);
+    store.clearMemory();
+    ASSERT_TRUE(sameResult(executeSparsify(spec), reference));
+
+    // The cold answer filed one blob, "sparsify-<key hex>.blob".
+    std::string blob_path;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        blob_path = e.path().string();
+    const std::string stem = std::filesystem::path(blob_path).stem();
+    ASSERT_EQ(stem.rfind("sparsify-", 0), 0u) << blob_path;
+    const uint64_t key = std::stoull(stem.substr(9), nullptr, 16);
+    const std::vector<uint8_t> pristine = readBytes(blob_path);
+    store.clearMemory();
+    const uint64_t disk_hits = store.stats().diskHits;
+    ASSERT_TRUE(sameResult(executeSparsify(spec), reference));
+    EXPECT_EQ(store.stats().diskHits, disk_hits + 1);
+
+    // Corrupt and short blobs are rejected at the store and recomputed.
+    util::FaultInjector fi(2026);
+    size_t cases = 0;
+    const auto sweep = [&](const std::vector<uint8_t> &corrupted) {
+        if (corrupted == pristine)
+            return;
+        ++cases;
+        const uint64_t rejects = store.stats().diskRejects;
+        writeBytes(blob_path, corrupted);
+        store.clearMemory();
+        EXPECT_TRUE(sameResult(executeSparsify(spec), reference))
+            << "corrupt sparsify blob altered an answer";
+        EXPECT_EQ(store.stats().diskRejects, rejects + 1);
+        writeBytes(blob_path, pristine);
+    };
+    for (int i = 0; i < 40; ++i)
+        sweep(fi.flipBits(pristine, 1 + fi.rng().below(8)));
+    for (const size_t cut : {size_t{0}, size_t{35}, size_t{36},
+                             pristine.size() - 1})
+        sweep(fi.truncate(pristine, cut));
+    for (int i = 0; i < 10; ++i)
+        sweep(fi.truncateRandom(pristine));
+    for (int i = 0; i < 10; ++i)
+        sweep(fi.extend(pristine, 1 + fi.rng().below(16)));
+    EXPECT_GE(cases, 60u);
+
+    // A well-formed blob whose payload does not decode (short, long,
+    // or a CRC field wider than 32 bits) is a hit that is never
+    // returned: it is recomputed, from disk and from memory alike.
+    const std::vector<uint8_t> payload(pristine.end() - 40, pristine.end());
+    std::vector<uint8_t> wide_crc = payload;
+    wide_crc[36] = 1;
+    for (const std::vector<uint8_t> &bad :
+         {std::vector<uint8_t>(payload.begin(), payload.end() - 1),
+          fi.extend(payload, 8), wide_crc, std::vector<uint8_t>{}}) {
+        writeBytes(blob_path, ContentStore::makeBlob("sparsify", key, bad));
+        store.clearMemory();
+        EXPECT_TRUE(sameResult(executeSparsify(spec), reference));
+        store.clearMemory();
+        store.put("sparsify", key, bad);
+        EXPECT_TRUE(sameResult(executeSparsify(spec), reference));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ServeExec, SparsifyCacheComputesOnceAcrossEightThreads)
+{
+    const StoreGuard guard;
+    ContentStore &store = ContentStore::instance();
+    store.clearMemory();
+    SparsifySpec spec;
+    spec.layer = "512x512x1";
+    constexpr int kThreads = 8;
+    const auto before = store.stats();
+    std::atomic<int> started{0};
+    std::vector<SparsifyResult> results(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            ++started;
+            while (started.load() < kThreads)
+                std::this_thread::yield();
+            results[t] = executeSparsify(spec);
+        });
+    for (auto &th : pool)
+        th.join();
+    EXPECT_EQ(store.stats().misses, before.misses + 1);
+    EXPECT_EQ(store.stats().memoryHits, before.memoryHits + kThreads - 1);
+    for (const SparsifyResult &r : results)
+        EXPECT_TRUE(sameResult(r, results[0]));
+}
+
+TEST(ServeExec, SparsifyCacheNeverFilesAThrowingSpec)
+{
+    const StoreGuard guard;
+    ContentStore &store = ContentStore::instance();
+    store.clearMemory();
+    SparsifySpec untileable;
+    untileable.layer = "100x100x1";
+    SparsifySpec bad_m;
+    bad_m.layer = "64x64x1";
+    bad_m.m = 65;
+    SparsifySpec malformed;
+    malformed.layer = "64x64";
+    for (const SparsifySpec &spec : {untileable, bad_m, malformed}) {
+        const auto before = store.stats();
+        for (int i = 0; i < 2; ++i)
+            EXPECT_THROW(executeSparsify(spec), std::invalid_argument)
+                << spec.layer;
+        const auto after = store.stats();
+        EXPECT_EQ(after.puts, before.puts) << spec.layer;
+        EXPECT_EQ(after.memoryHits, before.memoryHits) << spec.layer;
+    }
 }
 
 TEST(ServeProtocol, UnknownFieldsAreIgnored)

@@ -321,7 +321,7 @@ cmdFormats(util::FlagSet &flags, int argc, char **argv)
     // An explicit --layer is synthesized under the name run's --layer
     // uses; only the default shape matches the daemon's sparsify.
     const auto layer = serve::trySparsify(
-        spec, flags.seen("layer") ? "cli.layer" : "cli.formats");
+        spec, flags.seen("layer") ? "cli.layer" : serve::kSparsifyShapeName);
     if (!layer)
         fail(layer.error());
     const core::Matrix &w = layer->w;
