@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -53,6 +54,145 @@ class SegmentCounter
     uint64_t bytes_ = 0;
 };
 
+/*
+ * Each format's walk traffic as a function of structure alone. The
+ * encodings below and format::streamProfile both call these, so every
+ * formula exists once.
+ */
+
+/**
+ * Dense: the walk reads each m x m block row by row, one
+ * min(m, cols - bc)-wide run per row. Two reads coalesce only within
+ * a single block column (cols <= m: the whole matrix is one run),
+ * from one block to the next along a one-row block row, and from a
+ * block row's last read to the next block row's first.
+ */
+StreamProfile
+denseStream(uint64_t rows, uint64_t cols, size_t m)
+{
+    ensure(m > 0, "stream walk needs m >= 1");
+    StreamProfile p;
+    p.payloadBytes = rows * cols * kValueBytes;
+    p.usefulBytes = p.payloadBytes;
+    if (p.payloadBytes == 0)
+        return p;
+    if (cols <= m) {
+        p.segments = 1;
+        return p;
+    }
+    const uint64_t block_rows = (rows + m - 1) / m;
+    const uint64_t block_cols = (cols + m - 1) / m;
+    const uint64_t one_row_block_rows =
+        m == 1 ? rows : (rows % m == 1 ? 1 : 0);
+    p.segments = rows * block_cols
+        - (block_cols - 1) * one_row_block_rows - (block_rows - 1);
+    return p;
+}
+
+/**
+ * SDC's whole point is regular row-aligned streaming: the rows, padded
+ * to @p pitch (the global max row occupancy) slots, are read end to
+ * end, one long contiguous run, and the padding slots are the
+ * redundant traffic (paper Fig. 7(a)).
+ */
+StreamProfile
+sdcStream(uint64_t rows, uint64_t pitch, uint64_t nnz)
+{
+    StreamProfile p;
+    p.payloadBytes = rows * pitch * (kValueBytes + kIdxBytes);
+    p.usefulBytes = nnz * (kValueBytes + kIdxBytes);
+    p.segments = 1;
+    return p;
+}
+
+/** ceil(log2 m) bits per DDC intra-group index (at least one). */
+uint64_t
+log2Bits(size_t m)
+{
+    uint64_t bits = 0;
+    while ((1ull << bits) < m)
+        ++bits;
+    return bits == 0 ? 1 : bits;
+}
+
+/**
+ * DDC: @p slots = sum of N * m over the @p blocks blocks, each slot an
+ * fp16 value plus a bit-packed index, behind one info entry per block.
+ * Payloads are laid out in exactly the walk order, so the whole stream
+ * is one contiguous run; the info table is a second.
+ */
+StreamProfile
+ddcStream(uint64_t slots, uint64_t blocks, size_t m)
+{
+    StreamProfile p;
+    p.payloadBytes = blocks * kInfoBytes + slots * kValueBytes
+        + (slots * log2Bits(m) + 7) / 8;
+    p.usefulBytes = p.payloadBytes;
+    p.segments = 2;
+    return p;
+}
+
+/**
+ * Bitmap: row-merge hardware streams the packed values and the
+ * presence bitmap sequentially and reassembles blocks on chip; both
+ * arrays are contiguous.
+ */
+StreamProfile
+bitmapStream(uint64_t nnz, uint64_t rows, uint64_t cols)
+{
+    StreamProfile p;
+    p.payloadBytes = nnz * kValueBytes + (rows * cols + 7) / 8;
+    p.usefulBytes = p.payloadBytes;
+    p.segments = 2;
+    return p;
+}
+
+/**
+ * CSR: the PE array consumes m x m blocks, but CSR packs by full row,
+ * so every block touches a short run inside each of its rows' entries
+ * (paper Fig. 7(b)). Values and indices stream as interleaved (value,
+ * index) pairs, as a hardware CSR walker would lay them out.
+ * @p row_runs(r, runs) writes row r's entry count in each block column
+ * [b * m, (b + 1) * m) to runs[b].
+ */
+template <typename RowRuns>
+StreamProfile
+csrStream(size_t rows, size_t cols, size_t m, RowRuns &&row_runs)
+{
+    ensure(m > 0, "stream walk needs m >= 1");
+    const size_t block_cols = (cols + m - 1) / m;
+    // One block row's runs, row-major, and each row's next entry.
+    std::vector<uint64_t> runs(m * block_cols);
+    std::vector<uint64_t> next(m);
+    uint64_t entries = 0;
+    const uint64_t pair = kValueBytes + kIdxBytes;
+    SegmentCounter seg;
+    for (size_t br = 0; br < rows; br += m) {
+        const size_t height = std::min(m, rows - br);
+        for (size_t i = 0; i < height; ++i) {
+            const std::span<uint64_t> row(runs.data() + i * block_cols,
+                                          block_cols);
+            std::fill(row.begin(), row.end(), 0);
+            row_runs(br + i, row);
+            next[i] = entries;
+            for (const uint64_t run : row)
+                entries += run;
+        }
+        for (size_t b = 0; b < block_cols; ++b) {
+            for (size_t i = 0; i < height; ++i) {
+                const uint64_t run = runs[i * block_cols + b];
+                seg.access(next[i] * pair, run * pair);
+                next[i] += run;
+            }
+        }
+    }
+    StreamProfile p;
+    p.payloadBytes = seg.bytes() + (rows + 1) * kRowPtrBytes;
+    p.usefulBytes = p.payloadBytes;
+    p.segments = seg.segments() + 1;
+    return p;
+}
+
 /** Dense row-major fp16 encoding. */
 class DenseEncoding final : public Encoding
 {
@@ -72,24 +212,7 @@ class DenseEncoding final : public Encoding
     StreamProfile
     streamProfile(size_t m) const override
     {
-        StreamProfile p;
-        p.payloadBytes = storageBytes();
-        p.usefulBytes = p.payloadBytes;
-        SegmentCounter seg;
-        const uint64_t row_bytes = w_.cols() * kValueBytes;
-        for (size_t br = 0; br < w_.rows(); br += m) {
-            for (size_t bc = 0; bc < w_.cols(); bc += m) {
-                for (size_t r = 0; r < m && br + r < w_.rows(); ++r) {
-                    const uint64_t start =
-                        (br + r) * row_bytes + bc * kValueBytes;
-                    const size_t width =
-                        std::min(m, w_.cols() - bc) * kValueBytes;
-                    seg.access(start, width);
-                }
-            }
-        }
-        p.segments = seg.segments();
-        return p;
+        return denseStream(w_.rows(), w_.cols(), m);
     }
 
   private:
@@ -131,8 +254,7 @@ class SdcEncoding final : public Encoding
     uint64_t
     storageBytes() const override
     {
-        return static_cast<uint64_t>(rows_) * pitch_
-            * (kValueBytes + kIdxBytes);
+        return sdcStream(rows_, pitch_, nnz_).payloadBytes;
     }
 
     Matrix
@@ -150,14 +272,7 @@ class SdcEncoding final : public Encoding
     StreamProfile
     streamProfile(size_t /* m */) const override
     {
-        // SDC's whole point is regular row-aligned streaming: the padded
-        // rows are read end to end, one long contiguous run, and the
-        // padding slots are the redundant traffic (paper Fig. 7(a)).
-        StreamProfile p;
-        p.payloadBytes = storageBytes();
-        p.usefulBytes = nnz_ * (kValueBytes + kIdxBytes);
-        p.segments = 1;
-        return p;
+        return sdcStream(rows_, pitch_, nnz_);
     }
 
     size_t pitch() const { return pitch_; }
@@ -212,34 +327,11 @@ class CsrEncoding final : public Encoding
     StreamProfile
     streamProfile(size_t m) const override
     {
-        // The PE array consumes M x M blocks, but CSR packs by full
-        // row: every block touches a short run inside each of its rows'
-        // value and index arrays (paper Fig. 7(b)).
-        StreamProfile p;
-        SegmentCounter seg;
-        // Values and indices stream as interleaved (value, index)
-        // pairs, as a hardware CSR walker would lay them out.
-        const uint64_t pair = kValueBytes + kIdxBytes;
-        for (size_t br = 0; br < rows_; br += m) {
-            for (size_t bc = 0; bc < cols_; bc += m) {
-                for (size_t r = br; r < std::min(br + m, rows_); ++r) {
-                    // Entries of row r within [bc, bc+m) are contiguous
-                    // in CSR order; locate them.
-                    uint32_t lo = row_ptr_[r];
-                    while (lo < row_ptr_[r + 1] && col_idx_[lo] < bc)
-                        ++lo;
-                    uint32_t hi = lo;
-                    while (hi < row_ptr_[r + 1] && col_idx_[hi] < bc + m)
-                        ++hi;
-                    seg.access(lo * pair, (hi - lo) * pair);
-                }
-            }
-        }
-        const uint64_t ptr_bytes = row_ptr_.size() * kRowPtrBytes;
-        p.payloadBytes = seg.bytes() + ptr_bytes;
-        p.usefulBytes = p.payloadBytes;
-        p.segments = seg.segments() + 1;
-        return p;
+        return csrStream(rows_, cols_, m,
+                         [&](size_t r, std::span<uint64_t> runs) {
+            for (uint32_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
+                ++runs[col_idx_[i] / m];
+        });
     }
 
   private:
@@ -324,12 +416,8 @@ class DdcEncoding final : public Encoding
     uint64_t
     storageBytes() const override
     {
-        const uint64_t info = meta_.blocks.size() * kInfoBytes;
-        const uint64_t vals = values_.size() * kValueBytes;
-        // ceil(log2 m)-bit intra-group indices, bit-packed.
-        const uint64_t idx_bits =
-            static_cast<uint64_t>(intra_idx_.size()) * log2Bits(meta_.m);
-        return info + vals + (idx_bits + 7) / 8;
+        return ddcStream(values_.size(), meta_.blocks.size(), meta_.m)
+            .payloadBytes;
     }
 
     Matrix
@@ -362,25 +450,10 @@ class DdcEncoding final : public Encoding
     StreamProfile
     streamProfile(size_t /* m */) const override
     {
-        // Payloads are laid out in exactly the walk order, so the whole
-        // stream is one contiguous run; the info table is a second.
-        StreamProfile p;
-        p.payloadBytes = storageBytes();
-        p.usefulBytes = p.payloadBytes;
-        p.segments = 2;
-        return p;
+        return ddcStream(values_.size(), meta_.blocks.size(), meta_.m);
     }
 
   private:
-    static uint64_t
-    log2Bits(size_t m)
-    {
-        uint64_t bits = 0;
-        while ((1ull << bits) < m)
-            ++bits;
-        return bits == 0 ? 1 : bits;
-    }
-
     size_t rows_;
     size_t cols_;
     TbsMeta meta_;
@@ -414,7 +487,7 @@ class BitmapEncoding final : public Encoding
     uint64_t
     storageBytes() const override
     {
-        return values_.size() * kValueBytes + bits_.size();
+        return bitmapStream(values_.size(), rows_, cols_).payloadBytes;
     }
 
     Matrix
@@ -431,13 +504,7 @@ class BitmapEncoding final : public Encoding
     StreamProfile
     streamProfile(size_t /* m */) const override
     {
-        // Row-merge hardware streams values and bitmap sequentially and
-        // reassembles blocks on chip; both arrays are contiguous.
-        StreamProfile p;
-        p.payloadBytes = storageBytes();
-        p.usefulBytes = p.payloadBytes;
-        p.segments = 2;
-        return p;
+        return bitmapStream(values_.size(), rows_, cols_);
     }
 
   private:
@@ -458,6 +525,42 @@ formatName(StorageFormat f)
       case StorageFormat::CSR:   return "CSR";
       case StorageFormat::DDC:   return "DDC";
       case StorageFormat::Bitmap: return "Bitmap";
+    }
+    util::panic("unknown StorageFormat");
+}
+
+StreamProfile
+streamProfile(StorageFormat fmt, const Mask &mask, const TbsMeta &meta)
+{
+    const size_t rows = mask.rows();
+    const size_t cols = mask.cols();
+    const size_t m = meta.m;
+    switch (fmt) {
+      case StorageFormat::Dense:
+        return denseStream(rows, cols, m);
+      case StorageFormat::SDC: {
+        uint64_t pitch = 0;
+        for (size_t r = 0; r < rows; ++r)
+            pitch = std::max<uint64_t>(pitch, mask.rangeNnz(r, 0, cols));
+        return sdcStream(rows, pitch, mask.nnz());
+      }
+      case StorageFormat::CSR:
+        return csrStream(rows, cols, m,
+                         [&](size_t r, std::span<uint64_t> runs) {
+            for (size_t b = 0; b < runs.size(); ++b)
+                runs[b] = mask.rangeNnz(r, b * m,
+                                        std::min(m, cols - b * m));
+        });
+      case StorageFormat::DDC: {
+        ensure(rows == meta.blockRows * m && cols == meta.blockCols * m,
+               "DDC metadata grid mismatch");
+        uint64_t slots = 0;
+        for (const auto &info : meta.blocks)
+            slots += uint64_t{info.n} * m;
+        return ddcStream(slots, meta.blocks.size(), m);
+      }
+      case StorageFormat::Bitmap:
+        return bitmapStream(mask.nnz(), rows, cols);
     }
     util::panic("unknown StorageFormat");
 }

@@ -6,7 +6,9 @@
  * actual mask. The simulator derives bandwidth behaviour from the
  * encoding's StreamProfile — the byte counts and access contiguity the
  * computation's block-ordered walk induces — rather than from
- * hard-coded per-format factors.
+ * hard-coded per-format factors. That walk depends only on the mask's
+ * structure, so streamProfile(fmt, mask, meta) computes it without
+ * building the encoding.
  *
  * Formats:
  *  - Dense: row-major fp16 payload, no metadata.
@@ -100,6 +102,17 @@ class Encoding
     /** Access statistics for a block-ordered walk with block size m. */
     virtual StreamProfile streamProfile(size_t m) const = 0;
 };
+
+/**
+ * The stream profile of @p fmt for a matrix of @p mask's shape and
+ * structure, with block size meta.m: what
+ * encodeX(w, mask, ...)->streamProfile(meta.m) returns for every w.
+ * A walk's traffic depends on the mask, the block grid and m, never
+ * on the weight values, so nothing is encoded. DDC reads @p meta's
+ * per-block N; the other formats read only meta.m.
+ */
+StreamProfile streamProfile(StorageFormat fmt, const core::Mask &mask,
+                            const core::TbsMeta &meta);
 
 /** Encode a dense matrix (no mask). */
 std::unique_ptr<Encoding> encodeDense(const core::Matrix &w);

@@ -41,10 +41,21 @@ decodeErrorName(DecodeErrorKind kind)
 
 namespace {
 
-/// Blocks per offset group: the 12-bit element offset must cover a
-/// group's worth of payload, and a block holds at most M*M elements,
-/// so with M = 8 a group of 63 blocks stays under 4096 elements.
-constexpr uint32_t kDefaultGroupBlocks = 63;
+/// Most blocks per offset group (the group size of every stream with
+/// m <= 8; larger blocks get smaller groups, see offsetGroupBlocks()).
+constexpr uint32_t kMaxGroupBlocks = 63;
+
+/**
+ * Blocks per offset group at block size @p m: the 12-bit element
+ * offset must reach the group's last block, and a block holds at most
+ * m * m elements, so the last block must start at or below 4095.
+ */
+uint32_t
+offsetGroupBlocks(size_t m)
+{
+    return static_cast<uint32_t>(
+        std::min<size_t>(kMaxGroupBlocks, 4095 / (m * m) + 1));
+}
 
 /// Fixed header bytes before the candidate ladder: magic, rows, cols,
 /// m, group size, declared payload element count, ladder size.
@@ -275,7 +286,7 @@ parseHeader(std::span<const uint8_t> bytes)
     h.m = in.u32();
     h.groupBlocks = in.u32();
     h.layout.totalValues = in.u32();
-    if (h.m == 0 || h.m > 16)
+    if (h.m == 0 || h.m > kDdcMaxBlockSize)
         failDecode(DecodeErrorKind::GeometryOverflow, 12,
                    util::formatStr("block size {} outside the format's "
                                    "4-bit intra-group index budget",
@@ -497,9 +508,10 @@ serializeDdc(const Matrix &w, const Mask &mask, const TbsMeta &meta)
            "serializeDdc: shape mismatch");
     ensure(w.rows() == meta.blockRows * m && w.cols() == meta.blockCols * m,
            "serializeDdc: metadata grid mismatch");
-    if (m > 16)
-        fatal("serializeDdc: block size {} exceeds the format's 4-bit "
-              "intra-group index budget", m);
+    if (m == 0 || m > kDdcMaxBlockSize)
+        fatal("serializeDdc: block size {} outside the format's 4-bit "
+              "intra-group index budget (1 <= m <= {})",
+              m, kDdcMaxBlockSize);
 
     // Candidate ladder: the distinct Ns in use, sorted; the 3-bit
     // ratio field indexes it.
@@ -516,7 +528,7 @@ serializeDdc(const Matrix &w, const Mask &mask, const TbsMeta &meta)
     if (blocks >= uint64_t{1} << 32)
         fatal("serializeDdc: {} blocks exceed the format's 32-bit "
               "geometry fields", blocks);
-    const uint32_t group_blocks = kDefaultGroupBlocks;
+    const uint32_t group_blocks = offsetGroupBlocks(m);
     const size_t groups = (blocks + group_blocks - 1) / group_blocks;
 
     // First pass: payload sizes per block -> group bases, offsets, and

@@ -54,6 +54,12 @@ constexpr uint32_t kDdcMagicV1 = 0x31434444; // "DDC1" little-endian.
 /** Magic of the current v2 layout (header + per-section CRC32). */
 constexpr uint32_t kDdcMagicV2 = 0x32434444; // "DDC2" little-endian.
 
+/**
+ * Largest block size m a DDC2 stream holds: intra-group indices are at
+ * most 4 bits wide.
+ */
+constexpr size_t kDdcMaxBlockSize = 16;
+
 /** Result of parsing a serialized DDC stream. */
 struct DdcParsed
 {
@@ -89,8 +95,10 @@ struct DdcLayout
  *     core::tryMakeMask produces for TBS; validated).
  * @param meta Block metadata.
  * @note fatal() if the mask violates the metadata or the geometry
- *     cannot be represented (e.g. more blocks than the info table's
- *     group addressing covers).
+ *     cannot be represented (m above kDdcMaxBlockSize, or more blocks
+ *     than the 32-bit geometry fields count). Each offset group holds
+ *     min(63, floor(4095 / m^2) + 1) blocks, so every block's element
+ *     offset fits the info entry's 12 bits at any m the format holds.
  */
 std::vector<uint8_t> serializeDdc(const core::Matrix &w,
                                   const core::Mask &mask,

@@ -271,8 +271,10 @@ trySparsify(const SparsifySpec &spec, const std::string &shapeName)
     const auto shape = tryParseLayer(spec.layer, shapeName);
     if (!shape)
         return util::unexpected(badLayerMessage(spec.layer));
-    if (spec.m == 0 || spec.m > 64)
-        return util::unexpected(std::string("block size m out of range"));
+    if (spec.m == 0 || spec.m > format::kDdcMaxBlockSize)
+        return util::unexpected(util::formatStr(
+            "block size m = {} outside [1, {}], the DDC stream's range",
+            spec.m, format::kDdcMaxBlockSize));
 
     SparsifiedLayer out;
     out.w = workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);

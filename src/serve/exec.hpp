@@ -57,7 +57,7 @@ struct SparsifySpec
     std::string layer = "512x512x1"; ///< "XxYxNB" weight shape.
     double sparsity = 0.75;
     uint64_t seed = 42;
-    uint64_t m = 8;
+    uint64_t m = 8; ///< 1..format::kDdcMaxBlockSize.
     std::string strategy; ///< "" or "greedy" (core::isMaskStrategy).
 };
 

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "core/mask_search.hpp"
+#include "format/serialize.hpp"
 
 namespace tbstc::serve {
 
@@ -144,8 +145,10 @@ parseRequest(std::string_view json)
             s.seed = *seed;
         if (const auto m = u64Field(v, "m"))
             s.m = *m;
-        if (s.m == 0 || s.m > 64)
-            return fail("'m' must be in [1, 64]");
+        // The answer is a DDC2 stream, which holds m <= 16.
+        if (s.m == 0 || s.m > format::kDdcMaxBlockSize)
+            return fail("'m' must be in [1, "
+                        + std::to_string(format::kDdcMaxBlockSize) + "]");
         if (v.has("strategy")) {
             s.strategy = v.get("strategy").asString();
             if (!core::isMaskStrategy(s.strategy))

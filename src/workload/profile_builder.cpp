@@ -18,7 +18,6 @@ using core::Matrix;
 using core::Pattern;
 using core::SparsityDim;
 using core::TbsMeta;
-using format::StorageFormat;
 using sim::BlockTask;
 using sim::LayerProfile;
 
@@ -43,6 +42,29 @@ deriveMeta(const Mask &mask, size_t m)
         }
     }
     return meta;
+}
+
+std::vector<uint8_t>
+serializeProfile(const LayerProfile &p)
+{
+    util::ByteWriter w;
+    w.u64(p.x);
+    w.u64(p.y);
+    w.u64(p.nb);
+    w.u64(p.m);
+    w.u64(p.aNnz);
+    w.f64(p.sampleScale);
+    w.u64(p.aStream.payloadBytes);
+    w.u64(p.aStream.usefulBytes);
+    w.u64(p.aStream.segments);
+    w.u64(p.blocks.size());
+    for (const BlockTask &b : p.blocks) {
+        w.u16(b.nnz);
+        w.u8(b.n);
+        w.u8(b.independentDim ? 1 : 0);
+        w.u8(b.nonemptyRows);
+    }
+    return w.bytes();
 }
 
 namespace {
@@ -71,29 +93,6 @@ profileCacheKey(const ProfileSpec &spec)
     h.u64(spec.seed);
     h.u64(spec.maxElements);
     return h.digest();
-}
-
-std::vector<uint8_t>
-serializeProfile(const LayerProfile &p)
-{
-    util::ByteWriter w;
-    w.u64(p.x);
-    w.u64(p.y);
-    w.u64(p.nb);
-    w.u64(p.m);
-    w.u64(p.aNnz);
-    w.f64(p.sampleScale);
-    w.u64(p.aStream.payloadBytes);
-    w.u64(p.aStream.usefulBytes);
-    w.u64(p.aStream.segments);
-    w.u64(p.blocks.size());
-    for (const BlockTask &b : p.blocks) {
-        w.u16(b.nnz);
-        w.u8(b.n);
-        w.u8(b.independentDim ? 1 : 0);
-        w.u8(b.nonemptyRows);
-    }
-    return w.bytes();
 }
 
 std::optional<LayerProfile>
@@ -165,6 +164,13 @@ buildLayerProfileUncached(const ProfileSpec &spec)
         rows = std::max<uint64_t>(m,
                                   spec.maxElements / shape.y / m * m);
     }
+    // A block's N and nonempty-row count are 8-bit and its nnz 16-bit
+    // (core::BlockInfo, sim::BlockTask): from m = 256 on, a dense block
+    // wraps them in every family.
+    if (m > 255)
+        util::fatal("block size m = {} exceeds the profile's 8-bit block "
+                    "fields (m <= 255)",
+                    m);
     // Every family's block grid (TBS's own, the others' derived meta)
     // needs whole m x m blocks: one check, one message, before paying
     // for synthesis.
@@ -176,10 +182,11 @@ buildLayerProfileUncached(const ProfileSpec &spec)
         static_cast<double>(shape.x) / static_cast<double>(rows);
 
     // Every accelerator building this layer at the same time shares
-    // one synthesis (the weights depend only on shape and seed).
-    const auto synth = synthShared(shape, spec.seed, rows);
-    const Matrix &w = synth->w;
-    const Matrix &scores = synth->scores;
+    // one synthesis (the weights depend only on shape and seed). The
+    // profile reads only |w|: the mask ranks it, and the stream
+    // profile is a function of the mask.
+    const auto shared = synthShared(shape, spec.seed, rows);
+    const Matrix &scores = *shared;
 
     core::MaskRequest req;
     req.pattern = spec.pattern;
@@ -249,27 +256,7 @@ buildLayerProfileUncached(const ProfileSpec &spec)
         }
     });
 
-    // Storage-format stream profile.
-    std::unique_ptr<format::Encoding> enc;
-    switch (spec.fmt) {
-      case StorageFormat::Dense:
-        enc = format::encodeDense(w);
-        break;
-      case StorageFormat::SDC:
-        enc = format::encodeSdc(w, mask);
-        break;
-      case StorageFormat::CSR:
-        enc = format::encodeCsr(w, mask);
-        break;
-      case StorageFormat::DDC:
-        enc = format::encodeDdc(w, mask, meta);
-        break;
-      case StorageFormat::Bitmap:
-        enc = format::encodeBitmap(w, mask);
-        break;
-    }
-    util::ensure(enc != nullptr, "unknown storage format");
-    profile.aStream = enc->streamProfile(m);
+    profile.aStream = format::streamProfile(spec.fmt, mask, meta);
     return profile;
 }
 

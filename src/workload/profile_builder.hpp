@@ -1,19 +1,21 @@
 /**
  * @file
- * Builds block-granular simulator profiles from real masks + encodings.
+ * Builds block-granular simulator profiles from real masks.
  *
  * This is the bridge between the algorithm side (patterns, masks) and
- * the hardware side (LayerProfile): weights are synthesized, the
- * requested pattern's mask generated, the requested storage format
- * encoded, and the result reduced to per-block tasks plus a stream
- * profile. Layers too large to materialize are row-sampled on the
+ * the hardware side (LayerProfile): weight magnitudes are synthesized,
+ * the requested pattern's mask generated, and the result reduced to
+ * per-block tasks plus the requested storage format's stream profile,
+ * which depends only on the mask's structure (format::streamProfile). Layers too large to materialize are row-sampled on the
  * block grid and linearly rescaled (documented in DESIGN.md).
  */
 
 #ifndef TBSTC_WORKLOAD_PROFILE_BUILDER_HPP
 #define TBSTC_WORKLOAD_PROFILE_BUILDER_HPP
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/pattern.hpp"
 #include "format/encoding.hpp"
@@ -54,6 +56,12 @@ struct ProfileSpec
 
 /** Build the simulator profile for @p spec. */
 sim::LayerProfile buildLayerProfile(const ProfileSpec &spec);
+
+/**
+ * The profile's bytes as the result cache stores them: every field
+ * the simulator reads, little-endian, in declaration order.
+ */
+std::vector<uint8_t> serializeProfile(const sim::LayerProfile &p);
 
 /**
  * Derive TBS-style block metadata for a mask produced by a

@@ -94,7 +94,7 @@ SynthPlan::chunkStart(size_t k) const
 }
 
 Rng
-SynthPlan::fill(size_t k, Rng gen, float *w, float *scores) const
+SynthPlan::fill(size_t k, Rng gen, float *out, Output what) const
 {
     const uint64_t first = k * chunkRows;
     const uint64_t last = std::min(rows, first + chunkRows);
@@ -106,22 +106,20 @@ SynthPlan::fill(size_t k, Rng gen, float *w, float *scores) const
             row_block = std::exp(gen.gaussian(0.0, 0.7));
         const double row_scale =
             std::exp(gen.gaussian(0.0, 0.6)) * row_block;
-        float *out = w + r * cols;
+        float *row = out + r * cols;
         for (uint64_t c = 0; c < cols; ++c) {
-            out[c] = static_cast<float>(
+            const auto x = static_cast<float>(
                 gen.heavyTail() * 0.02 * row_scale * colScale[c]
                 * colBlockScale[c / 8]);
+            row[c] = what == Output::Magnitudes ? std::fabs(x) : x;
         }
-        if (scores != nullptr)
-            for (uint64_t c = 0; c < cols; ++c)
-                scores[r * cols + c] = std::fabs(out[c]);
     }
     return gen;
 }
 
 size_t
 settleChunks(const SynthPlan &plan, std::span<const Rng> starts,
-             std::span<const Rng> ends, float *w, float *scores)
+             std::span<const Rng> ends, float *out, SynthPlan::Output what)
 {
     const size_t chunks = plan.chunks();
     util::ensure(starts.size() == chunks && ends.size() == chunks,
@@ -135,7 +133,7 @@ settleChunks(const SynthPlan &plan, std::span<const Rng> starts,
             continue;
         }
         for (size_t j = k; j < chunks; ++j)
-            expected = plan.fill(j, expected, w, scores);
+            expected = plan.fill(j, expected, out, what);
         return k;
     }
     return chunks;
@@ -146,32 +144,31 @@ settleChunks(const SynthPlan &plan, std::span<const Rng> starts,
 namespace {
 
 /**
- * One synthesis: its plan, output buffers and a claim counter over
+ * One synthesis: its plan, output buffer and a claim counter over
  * the plan's row chunks. Any thread may claim and fill chunks; the
  * owner's finish() returns once every chunk is filled and settled.
  */
 class SynthWork
 {
   public:
-    /** Draw the plan and allocate the outputs (scores if asked). */
+    using Output = detail::SynthPlan::Output;
+
+    /** Draw the plan and allocate the output. */
     void
     plan(const GemmShape &shape, uint64_t seed, uint64_t max_rows,
-         bool with_scores)
+         Output what)
     {
         detail::SynthPlan plan(shape, seed, max_rows);
         // Every element is written by exactly one chunk fill, so the
-        // buffers are paged in as the chunks fill them, not up front.
-        Matrix weights(plan.rows, plan.cols, Matrix::Uninitialized{});
-        Matrix mags = with_scores
-            ? Matrix(plan.rows, plan.cols, Matrix::Uninitialized{})
-            : Matrix();
+        // buffer is paged in as the chunks fill it, not up front.
+        Matrix buffer(plan.rows, plan.cols, Matrix::Uninitialized{});
         {
             const std::lock_guard lk(m_);
             starts_.resize(plan.chunks());
             ends_.resize(plan.chunks());
             plan_.emplace(std::move(plan));
-            w = std::move(weights);
-            scores = std::move(mags);
+            out = std::move(buffer);
+            what_ = what;
             state_ = State::Ready;
         }
         cv_.notify_all();
@@ -221,21 +218,14 @@ class SynthWork
             std::unique_lock lk(m_);
             cv_.wait(lk, [&] { return filled_ == chunks; });
         }
-        detail::settleChunks(*plan_, starts_, ends_, w.data().data(),
-                             scoresOut());
+        detail::settleChunks(*plan_, starts_, ends_, out.data().data(),
+                             what_);
     }
 
-    Matrix w;
-    Matrix scores; ///< Empty unless planned with scores.
+    Matrix out;
 
   private:
     enum class State { Planning, Ready, Abandoned };
-
-    float *
-    scoresOut()
-    {
-        return scores.size() > 0 ? scores.data().data() : nullptr;
-    }
 
     /** Claim one chunk and fill it; false once none is left. */
     bool
@@ -245,8 +235,7 @@ class SynthWork
         if (k >= plan_->chunks())
             return false;
         starts_[k] = plan_->chunkStart(k);
-        ends_[k] = plan_->fill(k, starts_[k], w.data().data(),
-                               scoresOut());
+        ends_[k] = plan_->fill(k, starts_[k], out.data().data(), what_);
         bool last = false;
         {
             const std::lock_guard lk(m_);
@@ -260,6 +249,7 @@ class SynthWork
     std::mutex m_;
     std::condition_variable cv_;
     State state_ = State::Planning;
+    Output what_ = Output::Weights;
     size_t filled_ = 0;
     std::atomic<size_t> next_{0};
     std::optional<detail::SynthPlan> plan_;
@@ -273,14 +263,14 @@ Matrix
 synthWeights(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
 {
     SynthWork work;
-    work.plan(shape, seed, max_rows, /*with_scores=*/false);
+    work.plan(shape, seed, max_rows, SynthWork::Output::Weights);
     work.finish();
-    return std::move(work.w);
+    return std::move(work.out);
 }
 
 namespace {
 
-using SharedLayer = std::shared_ptr<const SynthLayer>;
+using SharedLayer = std::shared_ptr<const Matrix>;
 
 /** Every input synthWeights reads: name, x, y, row cap, seed. */
 using SynthKey =
@@ -288,7 +278,7 @@ using SynthKey =
 
 struct SynthEntry
 {
-    std::weak_ptr<const SynthLayer> layer; ///< Set once produced.
+    std::weak_ptr<const Matrix> layer; ///< Set once produced.
     std::shared_future<SharedLayer> inflight; ///< Valid while producing.
     std::shared_ptr<SynthWork> work; ///< Set while producing.
 };
@@ -338,7 +328,7 @@ joinFlight(const std::shared_future<SharedLayer> &flight, SynthWork &work)
 
 } // namespace
 
-std::shared_ptr<const SynthLayer>
+std::shared_ptr<const Matrix>
 synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
 {
     SynthFlights &flights = synthFlights();
@@ -374,10 +364,9 @@ synthShared(const GemmShape &shape, uint64_t seed, uint64_t max_rows)
     SharedLayer layer;
     try {
         const obs::ScopedSpan span("workload.synth.produce");
-        work->plan(shape, seed, max_rows, /*with_scores=*/true);
+        work->plan(shape, seed, max_rows, SynthWork::Output::Magnitudes);
         work->finish();
-        layer = std::make_shared<const SynthLayer>(
-            SynthLayer{std::move(work->w), std::move(work->scores)});
+        layer = std::make_shared<const Matrix>(std::move(work->out));
     } catch (...) {
         work->abandon();
         {

@@ -37,29 +37,23 @@ uint64_t nameHash(const std::string &name);
 core::Matrix synthWeights(const GemmShape &shape, uint64_t seed,
                           uint64_t max_rows = 0);
 
-/** One layer's synthesized weights and their magnitude scores. */
-struct SynthLayer
-{
-    core::Matrix w;
-    core::Matrix scores; ///< core::magnitudeScores(w).
-};
-
 /**
- * synthWeights(@p shape, @p seed, @p max_rows) and its magnitude
- * scores, shared with every concurrent caller asking for the same
- * inputs. Single-flight: the first caller for a key synthesizes
- * (outside any lock); a later caller that arrives while it is in
- * flight claims and fills the flight's unfilled row chunks, then
- * shares the one result. If synthesis throws, every waiter gets the
- * same exception.
+ * core::magnitudeScores(synthWeights(@p shape, @p seed, @p max_rows)),
+ * bit for bit, shared with every concurrent caller asking for the same
+ * inputs. Profiles read only |w|: the mask search ranks magnitudes,
+ * and the stream profile depends on the mask alone, so the signed
+ * weights are never materialized.
+ * Single-flight: the first caller for a key synthesizes (outside any
+ * lock); a later caller that arrives while it is in flight claims and
+ * fills the flight's unfilled row chunks, then shares the one result.
+ * If synthesis throws, every waiter gets the same exception.
  * Nothing is retained: the process-wide map holds only a weak
  * reference, so a layer lives exactly as long as its last holder and
- * the next caller after that synthesizes again. Serial callers
- * therefore compute exactly what synthWeights + magnitudeScores do.
+ * the next caller after that synthesizes again.
  */
-std::shared_ptr<const SynthLayer> synthShared(const GemmShape &shape,
-                                              uint64_t seed,
-                                              uint64_t max_rows = 0);
+std::shared_ptr<const core::Matrix> synthShared(const GemmShape &shape,
+                                                uint64_t seed,
+                                                uint64_t max_rows = 0);
 
 namespace detail {
 
@@ -76,6 +70,9 @@ inline constexpr uint64_t kSynthChunkElements = uint64_t{1} << 18;
  */
 struct SynthPlan
 {
+    /** What a fill writes: the weights w, or their magnitudes |w|. */
+    enum class Output { Weights, Magnitudes };
+
     SynthPlan(const GemmShape &shape, uint64_t seed, uint64_t max_rows);
 
     uint64_t rows = 0;
@@ -91,11 +88,12 @@ struct SynthPlan
     util::Rng chunkStart(size_t k) const;
 
     /**
-     * Fill chunk @p k's rows of the row-major rows x cols buffer @p w
-     * (and |w| into @p scores unless null), drawing from @p gen.
-     * Returns the generator state after the chunk's last row.
+     * Fill chunk @p k's rows of the row-major rows x cols buffer @p out
+     * with @p what, drawing from @p gen. Each magnitude is std::fabs of
+     * the float weight, as core::magnitudeScores computes it. Returns
+     * the generator state after the chunk's last row.
      */
-    util::Rng fill(size_t k, util::Rng gen, float *w, float *scores) const;
+    util::Rng fill(size_t k, util::Rng gen, float *out, Output what) const;
 };
 
 /**
@@ -103,12 +101,13 @@ struct SynthPlan
  * filled from and @p ends[k] the state it ended in. Chunk 0 is right
  * iff starts[0] == plan.rng, and chunk k + 1 iff chunk k is and
  * starts[k + 1] == ends[k]; from the first wrong chunk on, every chunk
- * is refilled serially from the true state. Returns the first
+ * is refilled serially from the true state into @p out (with
+ * @p what, as the chunks were filled). Returns the first
  * refilled chunk, or plan.chunks() when the fill was already exact.
  */
 size_t settleChunks(const SynthPlan &plan, std::span<const util::Rng> starts,
-                    std::span<const util::Rng> ends, float *w,
-                    float *scores);
+                    std::span<const util::Rng> ends, float *out,
+                    SynthPlan::Output what);
 
 } // namespace detail
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "accel/accelerator.hpp"
+#include "util/logging.hpp"
 
 namespace {
 
@@ -114,6 +117,24 @@ TEST(Accel, PatternOverrideDensifiesOnBaselines)
     const RunStats on_vegeta = runLayer(AccelKind::Vegeta, req);
     const RunStats on_tbstc = runLayer(AccelKind::TbStc, req);
     EXPECT_GT(on_vegeta.cycles / on_tbstc.cycles, 1.2);
+}
+
+TEST(Accel, BlockSizeBeyond255FailsBeforeSynthesis)
+{
+    // A dense 256 x 256 block would wrap the profile's 8-bit N and
+    // 16-bit nnz fields; every family stops at one message instead.
+    for (const AccelKind kind : {AccelKind::TC, AccelKind::RmStc}) {
+        RunRequest req = request(0.5, 256, 256, 16);
+        req.m = 256;
+        try {
+            runLayer(kind, req);
+            ADD_FAILURE() << accelName(kind) << " accepted m = 256";
+        } catch (const tbstc::util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("m <= 255"),
+                      std::string::npos)
+                << accelName(kind) << ": " << e.what();
+        }
+    }
 }
 
 TEST(Accel, ConfigOverrideApplies)

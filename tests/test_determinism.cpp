@@ -14,6 +14,7 @@
 #include "core/prune.hpp"
 #include "sim/pipeline.hpp"
 #include "mask_util.hpp"
+#include "util/contentstore.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/accuracy_model.hpp"
@@ -240,6 +241,65 @@ TEST(Golden, EndToEndRunIsBitStable)
     EXPECT_EQ(s1.cycles, s2.cycles);
     EXPECT_EQ(s1.energy.totalJ(), s2.energy.totalJ());
     EXPECT_EQ(s1.edp, s2.edp);
+}
+
+TEST(Golden, LayerProfileHash)
+{
+    // The profile cache's bytes for each fig13 accelerator, built
+    // uncached, on a row-capped and an uncapped shape at two seeds.
+    // Each accelerator's spec mirrors accel::runLayer's.
+    using accel::AccelKind;
+    struct Case
+    {
+        AccelKind kind;
+        uint64_t hash;
+    };
+    const Case cases[] = {
+        {AccelKind::TC, 0x465aa24b38054aedull},
+        {AccelKind::STC, 0x7962cb86465d1f51ull},
+        {AccelKind::Vegeta, 0x1e1c2a18df5214f9ull},
+        {AccelKind::HighLight, 0xb4e45d1b1d7cb6acull},
+        {AccelKind::RmStc, 0x2f4d89e46b91f896ull},
+        {AccelKind::TbStc, 0x3abc5d5ba7c592c6ull},
+    };
+    struct Shape
+    {
+        workload::GemmShape shape;
+        uint64_t maxElements;
+    };
+    const Shape shapes[] = {
+        {{"golden-profile", 256, 128, 16}, 0},
+        {{"golden-profile-capped", 1024, 256, 8}, uint64_t{1} << 16},
+    };
+    auto &store = util::ContentStore::instance();
+    const bool was = store.enabled();
+    store.setEnabled(false);
+    for (const Case &c : cases) {
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (const Shape &s : shapes) {
+            for (const uint64_t seed : {7u, 21u}) {
+                workload::ProfileSpec spec;
+                spec.shape = s.shape;
+                spec.maxElements = s.maxElements;
+                spec.pattern = accel::accelPattern(c.kind);
+                spec.sparsity = c.kind == AccelKind::STC ? 0.5 : 0.625;
+                spec.fmt = accel::accelFormat(c.kind);
+                spec.densifyIndependent = spec.pattern == core::Pattern::TBS
+                    && !accel::supportsIndependentDim(c.kind)
+                    && accel::accelPattern(c.kind) != core::Pattern::US;
+                spec.seed = seed;
+                const auto bytes = workload::serializeProfile(
+                    workload::buildLayerProfile(spec));
+                for (const uint8_t b : bytes) {
+                    h ^= b;
+                    h *= 0x100000001b3ull;
+                }
+            }
+        }
+        EXPECT_EQ(h, c.hash)
+            << accel::accelName(c.kind) << " 0x" << std::hex << h;
+    }
+    store.setEnabled(was);
 }
 
 } // namespace

@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/prune.hpp"
 #include "mask_util.hpp"
 #include "format/encoding.hpp"
 #include "util/rng.hpp"
+#include "workload/profile_builder.hpp"
 #include "workload/synth.hpp"
 
 namespace {
@@ -177,6 +182,156 @@ TEST(FormatName, AllNamed)
     EXPECT_EQ(formatName(StorageFormat::CSR), "CSR");
     EXPECT_EQ(formatName(StorageFormat::DDC), "DDC");
     EXPECT_EQ(formatName(StorageFormat::Bitmap), "Bitmap");
+}
+
+/** Field-by-field equality of two stream profiles. */
+void
+expectSameStream(const StreamProfile &got, const StreamProfile &want)
+{
+    EXPECT_EQ(got.payloadBytes, want.payloadBytes);
+    EXPECT_EQ(got.usefulBytes, want.usefulBytes);
+    EXPECT_EQ(got.segments, want.segments);
+}
+
+/**
+ * format::streamProfile(fmt, mask, meta) against the stream profile of
+ * the encoding built from @p w, for all five formats.
+ */
+void
+expectStructureMatchesEncoders(const Matrix &w, const Mask &mask,
+                               const TbsMeta &meta)
+{
+    const size_t m = meta.m;
+    const std::pair<StorageFormat, std::unique_ptr<Encoding>> encs[] = {
+        {StorageFormat::Dense, encodeDense(w)},
+        {StorageFormat::SDC, encodeSdc(w, mask)},
+        {StorageFormat::CSR, encodeCsr(w, mask)},
+        {StorageFormat::DDC, encodeDdc(w, mask, meta)},
+        {StorageFormat::Bitmap, encodeBitmap(w, mask)},
+    };
+    for (const auto &[fmt, enc] : encs) {
+        SCOPED_TRACE(formatName(fmt));
+        expectSameStream(streamProfile(fmt, mask, meta),
+                         enc->streamProfile(m));
+    }
+}
+
+TEST(StreamProfile, StructureMatchesEncoders)
+{
+    const Pattern patterns[] = {Pattern::Dense, Pattern::US,
+                                Pattern::TS,    Pattern::RSV,
+                                Pattern::RSH,   Pattern::TBS,
+                                Pattern::SS};
+    // 80 columns leave a partial mask word in every row.
+    for (const auto &[rows, cols] :
+         {std::pair<size_t, size_t>{64, 96}, {48, 80}}) {
+        const Matrix w = tbstc::workload::synthWeights(
+            {"stream-structure", rows, cols, 1}, 5);
+        const Matrix scores = magnitudeScores(w);
+        for (const size_t m : {4u, 8u, 16u}) {
+            for (const Pattern p : patterns) {
+                for (const double sparsity : {0.5, 0.75}) {
+                    SCOPED_TRACE(patternName(p) + " m " + std::to_string(m)
+                                 + " sparsity " + std::to_string(sparsity)
+                                 + " " + std::to_string(rows) + "x"
+                                 + std::to_string(cols));
+                    const auto out = makeMask(p, scores, sparsity, m);
+                    const TbsMeta meta = p == Pattern::TBS
+                        ? out.meta
+                        : tbstc::workload::deriveMeta(out.mask, m);
+                    expectStructureMatchesEncoders(w, out.mask, meta);
+                }
+            }
+            Mask empty(rows, cols);
+            Mask full(rows, cols);
+            for (size_t r = 0; r < rows; ++r)
+                for (size_t c = 0; c < cols; ++c)
+                    full.at(r, c) = 1;
+            for (const Mask *mask : {&empty, &full}) {
+                SCOPED_TRACE((mask == &empty ? "empty m " : "full m ")
+                             + std::to_string(m));
+                expectStructureMatchesEncoders(
+                    w, *mask, tbstc::workload::deriveMeta(*mask, m));
+            }
+        }
+    }
+}
+
+/** Merges a walk's (start, len) reads into contiguous runs. */
+struct ReferenceWalk
+{
+    bool open = false;
+    uint64_t end = 0;
+    uint64_t bytes = 0;
+    uint64_t segments = 0;
+
+    void
+    read(uint64_t start, uint64_t len)
+    {
+        if (len == 0)
+            return;
+        segments += !(open && start == end);
+        open = true;
+        end = start + len;
+        bytes += len;
+    }
+};
+
+TEST(StreamProfile, WalksMatchReference)
+{
+    // Dense and CSR derive their runs from structure without walking
+    // the bytes; walk them here, read by read, block by block, on
+    // shapes that do and do not tile by m.
+    Rng rng(11);
+    for (const size_t m : {1u, 2u, 3u, 4u, 8u, 16u}) {
+        for (const size_t rows : {1u, 5u, 8u, 17u, 33u}) {
+            for (const size_t cols : {1u, 3u, 8u, 20u, 65u}) {
+                SCOPED_TRACE(std::to_string(rows) + "x"
+                             + std::to_string(cols) + " m "
+                             + std::to_string(m));
+                Mask mask(rows, cols);
+                for (size_t r = 0; r < rows; ++r)
+                    for (size_t c = 0; c < cols; ++c)
+                        mask.at(r, c) = rng.uniform() < 0.4 ? 1 : 0;
+                TbsMeta meta;
+                meta.m = m;
+
+                ReferenceWalk dense;
+                const uint64_t row_bytes = cols * 2;
+                for (size_t br = 0; br < rows; br += m)
+                    for (size_t bc = 0; bc < cols; bc += m)
+                        for (size_t r = br; r < std::min(br + m, rows); ++r)
+                            dense.read(r * row_bytes + bc * 2,
+                                       std::min(m, cols - bc) * 2);
+                const auto d =
+                    streamProfile(StorageFormat::Dense, mask, meta);
+                EXPECT_EQ(d.payloadBytes, dense.bytes);
+                EXPECT_EQ(d.segments, dense.segments);
+
+                // CSR position of each kept (r, c); reads are
+                // 4-byte (value, index) pairs.
+                std::vector<uint64_t> pos(rows * cols);
+                uint64_t next = 0;
+                for (size_t r = 0; r < rows; ++r)
+                    for (size_t c = 0; c < cols; ++c)
+                        if (mask.at(r, c))
+                            pos[r * cols + c] = next++;
+                ReferenceWalk csr;
+                for (size_t br = 0; br < rows; br += m)
+                    for (size_t bc = 0; bc < cols; bc += m)
+                        for (size_t r = br; r < std::min(br + m, rows); ++r)
+                            for (size_t c = bc; c < std::min(bc + m, cols);
+                                 ++c)
+                                if (mask.at(r, c))
+                                    csr.read(pos[r * cols + c] * 4, 4);
+                const auto p = streamProfile(StorageFormat::CSR, mask, meta);
+                EXPECT_EQ(p.payloadBytes, csr.bytes + (rows + 1) * 4);
+                EXPECT_EQ(p.segments, csr.segments + 1);
+                expectSameStream(p, encodeCsr(Matrix(rows, cols), mask)
+                                        ->streamProfile(m));
+            }
+        }
+    }
 }
 
 } // namespace

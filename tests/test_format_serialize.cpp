@@ -149,6 +149,31 @@ TEST(SerializeDdc, InfoTableBitLayout)
     EXPECT_EQ(e1 & 0x0fff, 64u);    // Second block after 64 elements.
 }
 
+TEST(SerializeDdc, BlockSize16RoundTrips)
+{
+    // 128 blocks of up to 256 elements: a 63-block offset group would
+    // overflow the 12-bit info offset, so m = 16 groups 16 blocks.
+    const Matrix w =
+        workload::synthWeights({"ser-probe-m16", 128, 256, 1}, 6);
+    const auto tbs =
+        makeMask(core::Pattern::TBS, core::magnitudeScores(w), 0.75, 16);
+    const auto bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
+    const auto parsed = decodeValid(bytes);
+    EXPECT_EQ(parsed.matrix, fp16Rounded(core::applyMask(w, tbs.mask)));
+    EXPECT_EQ(parsed.mask, tbs.mask);
+    EXPECT_EQ(parsed.meta.m, 16u);
+    const auto layout = format::ddcLayout(bytes);
+    ASSERT_TRUE(layout.ok());
+    EXPECT_EQ(layout->groups, 128u / 16u);
+
+    // m <= 8 keeps the 63-block groups (and so its bytes).
+    Fixture f(4, 256, 256, 0.625);
+    const auto m8 = format::ddcLayout(
+        format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta));
+    ASSERT_TRUE(m8.ok());
+    EXPECT_EQ(m8->groups, (1024u + 62u) / 63u);
+}
+
 TEST(SerializeDdc, RejectsInvalidMask)
 {
     Fixture f(6);

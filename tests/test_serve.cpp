@@ -500,6 +500,25 @@ TEST(ServeExec, SparsifyCacheComputesOnceAcrossEightThreads)
         EXPECT_TRUE(sameResult(r, results[0]));
 }
 
+TEST(ServeExec, SparsifyBlockSizeMatchesTheDdcRange)
+{
+    SparsifySpec spec;
+    spec.layer = "128x256x1";
+    spec.m = 16;
+    const auto ok = trySparsify(spec);
+    ASSERT_TRUE(ok.ok()) << ok.error();
+    EXPECT_EQ(executeSparsify(spec).rows, 128u);
+    for (const uint64_t m : {17u, 32u, 64u}) {
+        spec.m = m;
+        EXPECT_FALSE(trySparsify(spec).ok()) << m;
+        EXPECT_THROW(executeSparsify(spec), std::invalid_argument) << m;
+        Request req;
+        req.op = Op::Sparsify;
+        req.sparsify = spec;
+        EXPECT_FALSE(parseRequest(serializeRequest(req)).ok()) << m;
+    }
+}
+
 TEST(ServeExec, SparsifyCacheNeverFilesAThrowingSpec)
 {
     const StoreGuard guard;
@@ -688,6 +707,39 @@ TEST(ServeServer, RunResponseIsByteIdenticalToOneShot)
     server.beginShutdown();
     server.wait();
     EXPECT_EQ(server.counters().answered, 1u);
+}
+
+TEST(ServeServer, SparsifyBlockSizeBeyondDdcIsBadRequest)
+{
+    ServerOptions opts;
+    Server server(opts);
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    TestClient client(*started);
+    ASSERT_TRUE(client.connected());
+
+    // m = 16 is the largest block a DDC2 stream holds, and its offset
+    // groups shrink to fit the 12-bit info offsets.
+    Request sp;
+    sp.id = 1;
+    sp.op = Op::Sparsify;
+    sp.sparsify.layer = "128x256x1";
+    sp.sparsify.m = 16;
+    ASSERT_TRUE(client.send(sp));
+    JsonValue resp = client.recv();
+    EXPECT_TRUE(resp.get("ok").asBool(false)) << resp.get("error").asString();
+
+    // Beyond it the request is the client's error, not the daemon's.
+    for (const uint64_t m : {32u, 64u}) {
+        ASSERT_TRUE(client.sendRaw(
+            R"({"id": 7, "op": "sparsify", "layer": "128x256x1", "m": )"
+            + std::to_string(m) + "}"));
+        resp = client.recv();
+        EXPECT_FALSE(resp.get("ok").asBool(true)) << m;
+        EXPECT_EQ(resp.get("kind").asString(), "bad_request") << m;
+    }
+    server.beginShutdown();
+    server.wait();
 }
 
 TEST(ServeServer, SparsifyPingStatsAndBadRequests)

@@ -300,7 +300,7 @@ TEST(ProfileBuilder, SharedSynthRacingThreadsSynthesizeOnce)
     const SynthCounters counters;
     const GemmShape shape{"shared-race", 256, 256, 8};
     constexpr int kThreads = 8;
-    std::vector<std::shared_ptr<const SynthLayer>> got(kThreads);
+    std::vector<std::shared_ptr<const tbstc::core::Matrix>> got(kThreads);
     std::atomic<int> started{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
@@ -330,7 +330,7 @@ TEST(ProfileBuilder, SharedSynthHelpersMatchSerial)
     const size_t chunks = detail::SynthPlan(shape, 17, 0).chunks();
     ASSERT_EQ(chunks, 8u);
     constexpr int kThreads = 8;
-    std::vector<std::shared_ptr<const SynthLayer>> got(kThreads);
+    std::vector<std::shared_ptr<const tbstc::core::Matrix>> got(kThreads);
     std::atomic<int> started{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
@@ -351,15 +351,11 @@ TEST(ProfileBuilder, SharedSynthHelpersMatchSerial)
     }
 
     const tbstc::util::ThreadScope serial(1);
-    const auto w = synthWeights(shape, 17, 0);
-    const auto scores = tbstc::core::magnitudeScores(w);
-    ASSERT_EQ(got[0]->w.size(), w.size());
-    ASSERT_EQ(got[0]->scores.size(), scores.size());
-    EXPECT_EQ(std::memcmp(got[0]->w.data().data(), w.data().data(),
-                          w.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(got[0]->scores.data().data(),
-                          scores.data().data(),
+    const auto scores =
+        tbstc::core::magnitudeScores(synthWeights(shape, 17, 0));
+    ASSERT_EQ(got[0]->rows(), scores.rows());
+    ASSERT_EQ(got[0]->cols(), scores.cols());
+    EXPECT_EQ(std::memcmp(got[0]->data().data(), scores.data().data(),
                           scores.size() * sizeof(float)),
               0);
 }
@@ -368,7 +364,7 @@ TEST(ProfileBuilder, SharedSynthRetainsNothing)
 {
     const SynthCounters counters;
     const GemmShape shape{"shared-drop", 64, 64, 8};
-    std::weak_ptr<const SynthLayer> weak = synthShared(shape, 5, 64);
+    std::weak_ptr<const tbstc::core::Matrix> weak = synthShared(shape, 5, 64);
     EXPECT_TRUE(weak.expired());
     const auto again = synthShared(shape, 5, 64);
     EXPECT_TRUE(weak.expired());
@@ -383,16 +379,11 @@ TEST(ProfileBuilder, SharedSynthMatchesSynthWeightsBitForBit)
     const GemmShape shape{"shared-bits", 200, 120, 8};
     for (const uint64_t cap : {0u, 64u, 200u}) {
         const auto layer = synthShared(shape, 13, cap);
-        const auto w = synthWeights(shape, 13, cap);
-        const auto scores = tbstc::core::magnitudeScores(w);
-        ASSERT_EQ(layer->w.rows(), w.rows());
-        ASSERT_EQ(layer->w.cols(), w.cols());
-        ASSERT_EQ(layer->scores.size(), scores.size());
-        EXPECT_EQ(std::memcmp(layer->w.data().data(), w.data().data(),
-                              w.size() * sizeof(float)),
-                  0);
-        EXPECT_EQ(std::memcmp(layer->scores.data().data(),
-                              scores.data().data(),
+        const auto scores =
+            tbstc::core::magnitudeScores(synthWeights(shape, 13, cap));
+        ASSERT_EQ(layer->rows(), scores.rows());
+        ASSERT_EQ(layer->cols(), scores.cols());
+        EXPECT_EQ(std::memcmp(layer->data().data(), scores.data().data(),
                               scores.size() * sizeof(float)),
                   0);
     }
@@ -489,7 +480,7 @@ TEST(ProfileBuilder, Fig13KindsSharingSynthMatchSerialUncached)
     {
         // Holding each shape's layer forces every concurrent build onto
         // the shared path, whatever the schedule.
-        std::vector<std::shared_ptr<const SynthLayer>> held;
+        std::vector<std::shared_ptr<const tbstc::core::Matrix>> held;
         for (const auto &shape : shapes)
             held.push_back(synthShared(shape, 21, shape.x));
         std::vector<std::thread> threads;

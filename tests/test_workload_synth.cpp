@@ -112,7 +112,7 @@ TEST(Synth, JumpedStartsMatchPredecessorEnds)
         std::vector<float> w(plan.rows * plan.cols);
         for (size_t k = 0; k + 1 < plan.chunks(); ++k) {
             const Rng end = plan.fill(k, plan.chunkStart(k), w.data(),
-                                      nullptr);
+                                      detail::SynthPlan::Output::Weights);
             EXPECT_TRUE(end == plan.chunkStart(k + 1))
                 << "cols " << cols << " chunk " << k + 1;
         }
@@ -146,25 +146,27 @@ TEST(Synth, BoundaryMismatchRefillsSerially)
     const Matrix ref = serialReference(shape, 7, 0);
     const Matrix ref_scores = tbstc::core::magnitudeScores(ref);
 
-    for (size_t bad = 0; bad <= chunks; ++bad) {
-        Matrix w(plan.rows, plan.cols);
-        Matrix scores(plan.rows, plan.cols);
-        std::vector<Rng> starts(chunks);
-        std::vector<Rng> ends(chunks);
-        for (size_t k = 0; k < chunks; ++k) {
-            starts[k] = plan.chunkStart(k);
-            if (k == bad)
-                starts[k].jump(1); // One draw off, as after a redraw.
-            ends[k] = plan.fill(k, starts[k], w.data().data(),
-                                scores.data().data());
+    using Output = detail::SynthPlan::Output;
+    for (const Output what : {Output::Weights, Output::Magnitudes}) {
+        const Matrix &want = what == Output::Weights ? ref : ref_scores;
+        for (size_t bad = 0; bad <= chunks; ++bad) {
+            Matrix out(plan.rows, plan.cols);
+            std::vector<Rng> starts(chunks);
+            std::vector<Rng> ends(chunks);
+            for (size_t k = 0; k < chunks; ++k) {
+                starts[k] = plan.chunkStart(k);
+                if (k == bad)
+                    starts[k].jump(1); // One draw off, as after a redraw.
+                ends[k] = plan.fill(k, starts[k], out.data().data(), what);
+            }
+            // bad == chunks corrupts nothing: the fill is already exact.
+            EXPECT_EQ(sameBits(out, want), bad == chunks)
+                << "bad chunk " << bad;
+            EXPECT_EQ(detail::settleChunks(plan, starts, ends,
+                                           out.data().data(), what),
+                      bad);
+            EXPECT_TRUE(sameBits(out, want)) << "bad chunk " << bad;
         }
-        // bad == chunks corrupts nothing: the fill is already exact.
-        EXPECT_EQ(sameBits(w, ref), bad == chunks) << "bad chunk " << bad;
-        EXPECT_EQ(detail::settleChunks(plan, starts, ends, w.data().data(),
-                                       scores.data().data()),
-                  bad);
-        EXPECT_TRUE(sameBits(w, ref)) << "bad chunk " << bad;
-        EXPECT_TRUE(sameBits(scores, ref_scores)) << "bad chunk " << bad;
     }
 }
 
