@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -529,6 +530,27 @@ formatName(StorageFormat f)
     util::panic("unknown StorageFormat");
 }
 
+size_t
+maxEncodableCols(StorageFormat f)
+{
+    switch (f) {
+      case StorageFormat::SDC: return kPadSlot;
+      case StorageFormat::CSR: return size_t{UINT16_MAX} + 1;
+      case StorageFormat::Dense:
+      case StorageFormat::DDC:
+      case StorageFormat::Bitmap: return SIZE_MAX;
+    }
+    util::panic("unknown StorageFormat");
+}
+
+ColumnLimitError::ColumnLimitError(StorageFormat f, size_t cols)
+    : util::FatalError(util::formatStr(
+        "{} stores 16-bit column indices: a {}-column matrix exceeds "
+        "its {}-column limit",
+        formatName(f), cols, maxEncodableCols(f)))
+{
+}
+
 StreamProfile
 streamProfile(StorageFormat fmt, const Mask &mask, const TbsMeta &meta)
 {
@@ -574,12 +596,16 @@ encodeDense(const Matrix &w)
 std::unique_ptr<Encoding>
 encodeSdc(const Matrix &w, const Mask &mask)
 {
+    if (w.cols() > maxEncodableCols(StorageFormat::SDC))
+        throw ColumnLimitError(StorageFormat::SDC, w.cols());
     return std::make_unique<SdcEncoding>(w, mask);
 }
 
 std::unique_ptr<Encoding>
 encodeCsr(const Matrix &w, const Mask &mask)
 {
+    if (w.cols() > maxEncodableCols(StorageFormat::CSR))
+        throw ColumnLimitError(StorageFormat::CSR, w.cols());
     return std::make_unique<CsrEncoding>(w, mask);
 }
 

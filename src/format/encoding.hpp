@@ -33,6 +33,7 @@
 
 #include "core/matrix.hpp"
 #include "core/pattern.hpp"
+#include "util/logging.hpp"
 
 namespace tbstc::format {
 
@@ -48,6 +49,25 @@ enum class StorageFormat : uint8_t
 
 /** Human-readable format name. */
 std::string formatName(StorageFormat f);
+
+/**
+ * Widest matrix, in columns, that @p f's encoding can index. SDC and
+ * CSR store 16-bit column indices, and SDC reserves 0xffff for its
+ * padding slots, so SDC holds 65535 columns and CSR 65536. Dense,
+ * Bitmap and DDC have no column field (SIZE_MAX).
+ */
+size_t maxEncodableCols(StorageFormat f);
+
+/**
+ * Thrown by an encodeX() whose matrix is wider than
+ * maxEncodableCols(): its column indices would wrap, and decode()
+ * would no longer reproduce the masked matrix.
+ */
+class ColumnLimitError : public util::FatalError
+{
+  public:
+    ColumnLimitError(StorageFormat f, size_t cols);
+};
 
 /**
  * Byte-stream statistics of walking an encoding in computation order
@@ -117,11 +137,17 @@ StreamProfile streamProfile(StorageFormat fmt, const core::Mask &mask,
 /** Encode a dense matrix (no mask). */
 std::unique_ptr<Encoding> encodeDense(const core::Matrix &w);
 
-/** Encode the masked matrix in SDC (row-padded) layout. */
+/**
+ * Encode the masked matrix in SDC (row-padded) layout.
+ * @throws ColumnLimitError above maxEncodableCols(StorageFormat::SDC).
+ */
 std::unique_ptr<Encoding>
 encodeSdc(const core::Matrix &w, const core::Mask &mask);
 
-/** Encode the masked matrix in CSR layout. */
+/**
+ * Encode the masked matrix in CSR layout.
+ * @throws ColumnLimitError above maxEncodableCols(StorageFormat::CSR).
+ */
 std::unique_ptr<Encoding>
 encodeCsr(const core::Matrix &w, const core::Mask &mask);
 

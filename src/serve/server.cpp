@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "util/contentstore.hpp"
 #include "util/parallel.hpp"
 
 namespace tbstc::serve {
@@ -32,6 +33,22 @@ struct ExecResult
     bool ok = false;
     std::string payload; ///< Result JSON, or the error message.
 };
+
+/**
+ * Dedup and memo key of a run or sparsify: the request serialized with
+ * id and deadline zeroed, so the same work shares one signature no
+ * matter what budget each copy declared. Empty for other ops.
+ */
+std::string
+signatureOf(const Request &req)
+{
+    if (req.op != Op::Run && req.op != Op::Sparsify)
+        return {};
+    Request key = req;
+    key.id = 0;
+    key.deadlineMs = 0;
+    return serializeRequest(key);
+}
 
 /** Growth factor cap for the busy retry hint (base * up to 32). */
 constexpr uint64_t kMaxBusyHintMultiplier = 32;
@@ -288,10 +305,17 @@ Server::readerLoop(std::shared_ptr<Conn> conn,
             continue;
         }
         const uint64_t id = req.id;
+        const auto refuseDraining = [&] {
+            conn->refundToken();
+            drainRejected_.fetch_add(1, std::memory_order_relaxed);
+            conn->send(errorResponse(id, ErrorKind::ShuttingDown,
+                                     "server is draining"));
+        };
 
-        // Per-client fairness gates, checked before the shared queue
-        // so one greedy connection answers for its own appetite
-        // instead of starving everyone through busy rejections.
+        // Per-client fairness gates, checked before the memo and the
+        // shared queue so one greedy connection answers for its own
+        // appetite instead of starving everyone through busy
+        // rejections, and a warm answer still costs a token.
         uint64_t retryMs = lim.retryAfterMs;
         if (!conn->tryTakeToken(retryMs)) {
             rateLimited_.fetch_add(1, std::memory_order_relaxed);
@@ -310,10 +334,37 @@ Server::readerLoop(std::shared_ptr<Conn> conn,
                 lim.retryAfterMs));
             continue;
         }
+        if (draining_.load(std::memory_order_relaxed)) {
+            refuseDraining();
+            continue;
+        }
+
+        // A signature that already succeeded is answered here, with
+        // the bytes the batcher would write, instead of waking it.
+        std::string signature = signatureOf(req);
+        if (!signature.empty()
+            && util::ContentStore::instance().enabled()) {
+            std::shared_ptr<const std::string> payload;
+            {
+                const std::lock_guard lk(memoMutex_);
+                const auto it = memo_.find(signature);
+                if (it != memo_.end())
+                    payload = it->second;
+            }
+            if (payload) {
+                acceptedReqs_.fetch_add(1, std::memory_order_relaxed);
+                inlineAnswers_.fetch_add(1, std::memory_order_relaxed);
+                dedupHits_.fetch_add(1, std::memory_order_relaxed);
+                conn->send(okResponse(id, *payload));
+                answered_.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+        }
 
         PendingRequest pending;
         pending.conn = conn;
         pending.req = std::move(req);
+        pending.signature = std::move(signature);
         pending.enqueued = std::chrono::steady_clock::now();
         if (pending.req.deadlineMs > 0) {
             pending.hasDeadline = true;
@@ -350,10 +401,7 @@ Server::readerLoop(std::shared_ptr<Conn> conn,
           case PushResult::Closed:
             acceptedReqs_.fetch_sub(1, std::memory_order_relaxed);
             conn->subInflight();
-            conn->refundToken();
-            drainRejected_.fetch_add(1, std::memory_order_relaxed);
-            conn->send(errorResponse(id, ErrorKind::ShuttingDown,
-                                     "server is draining"));
+            refuseDraining();
             break;
         }
     }
@@ -430,23 +478,18 @@ Server::executeBatch(std::vector<PendingRequest> &batch)
     }
 
     // Coalesce identical requests: one execution per distinct
-    // signature (the request serialized with id and deadline zeroed —
-    // the same work coalesces no matter what budget each duplicate
-    // declared), fanned out to every duplicate. Signatures keep
+    // signature, fanned out to every duplicate. Signatures keep
     // first-appearance order, so the parallel region's chunk layout
     // is deterministic for a given batch.
-    std::vector<std::string> sigs;
+    std::vector<std::string_view> sigs;
     std::vector<size_t> groupOf(execIdx.size());
-    std::map<std::string, size_t> groupBySig;
+    std::map<std::string_view, size_t> groupBySig;
     for (size_t k = 0; k < execIdx.size(); ++k) {
-        Request keyReq = batch[execIdx[k]].req;
-        keyReq.id = 0;
-        keyReq.deadlineMs = 0;
-        std::string sig = serializeRequest(keyReq);
+        const std::string_view sig = batch[execIdx[k]].signature;
         const auto [it, inserted] =
-            groupBySig.try_emplace(std::move(sig), sigs.size());
+            groupBySig.try_emplace(sig, sigs.size());
         if (inserted)
-            sigs.push_back(it->first);
+            sigs.push_back(sig);
         groupOf[k] = it->second;
     }
     if (execIdx.size() > sigs.size()) {
@@ -479,6 +522,18 @@ Server::executeBatch(std::vector<PendingRequest> &batch)
             }
             return r;
         });
+
+    // File successes before answering, so a client that repeats a
+    // request as soon as it reads the answer finds it warm.
+    if (util::ContentStore::instance().enabled()) {
+        const std::lock_guard lk(memoMutex_);
+        for (size_t g = 0; g < sigs.size(); ++g)
+            if (results[g].ok)
+                memo_.try_emplace(
+                    std::string(sigs[g]),
+                    std::make_shared<const std::string>(
+                        results[g].payload));
+    }
 
     const auto now = std::chrono::steady_clock::now();
     for (size_t k = 0; k < execIdx.size(); ++k) {
@@ -518,6 +573,7 @@ Server::statsJson() const
     out += ", \"bad_frames\": " + std::to_string(c.badFrames);
     out += ", \"answered\": " + std::to_string(c.answered);
     out += ", \"dedup_hits\": " + std::to_string(c.dedupHits);
+    out += ", \"inline_answers\": " + std::to_string(c.inlineAnswers);
     out += ", \"batches\": " + std::to_string(c.batches);
     out += ", \"timeouts\": " + std::to_string(c.timeouts);
     out += ", \"shed\": " + std::to_string(c.shed);
@@ -548,6 +604,7 @@ Server::counters() const
     c.badFrames = badFrames_.load(std::memory_order_relaxed);
     c.answered = answered_.load(std::memory_order_relaxed);
     c.dedupHits = dedupHits_.load(std::memory_order_relaxed);
+    c.inlineAnswers = inlineAnswers_.load(std::memory_order_relaxed);
     c.batches = batches_.load(std::memory_order_relaxed);
     c.timeouts = timeouts_.load(std::memory_order_relaxed);
     c.shed = shed_.load(std::memory_order_relaxed);
@@ -654,6 +711,8 @@ Server::wait()
             .add(c.badRequests);
         obs::counter("serve.answered", obs::Domain::Host)
             .add(c.answered);
+        obs::counter("serve.answered_inline", obs::Domain::Host)
+            .add(c.inlineAnswers);
         obs::counter("serve.timeouts", obs::Domain::Host)
             .add(c.timeouts);
         obs::counter("serve.shed", obs::Domain::Host).add(c.shed);

@@ -6,14 +6,17 @@
  * Thread architecture (one Server instance):
  *
  *   accept thread ──spawns──► one reader thread per connection
- *        │                         │ parse + inline ping
- *        │                         ▼
+ *        │                         │ parse, inline ping, fairness
+ *        │                         │ gates, then a memo probe: a
+ *        │                         │ warm signature is answered here
+ *        │                         ▼ (misses only go on)
  *        │                  BoundedQueue (back-pressure: full → busy)
  *        │                         │
  *        ▼                         ▼
  *   wake pipe ◄──────────── batcher thread: pops a batch, dedups
  *                           identical requests, executes distinct
- *                           ones on the util/parallel pool, writes
+ *                           ones on the util/parallel pool, files
+ *                           each success in the answer memo, writes
  *                           responses in completion order
  *
  * Why a single batcher instead of N independent workers: requests
@@ -24,11 +27,23 @@
  * a thundering herd, and obs recording happens only on the batcher or
  * inside pool batches (whose completion synchronizes with the
  * batcher), keeping metricsJson() export race-free without locks on
- * the hot path. Reader threads never record obs metrics; their event
- * counts are plain atomics mirrored into obs once at shutdown.
+ * the hot path. Reader threads never record obs metrics and never run
+ * engine code; their event counts are plain atomics mirrored into obs
+ * once at shutdown.
+ *
+ * The answer memo maps a request signature (the request serialized
+ * with id and deadline_ms zeroed, computed once on the reader) to the
+ * result JSON of a run or sparsify that succeeded. Only the batcher
+ * files entries and only successes are filed; a reader that finds its
+ * signature answers okResponse(id, payload), the bytes the batcher
+ * would have written. The memo lives and dies with the Server and is
+ * consulted only while util::ContentStore is enabled, so --no-cache
+ * still means "compute every request". An inline answer counts as
+ * accepted, answered and a dedup hit.
  *
  * Drain (SIGTERM → beginShutdown): stop accepting connections, close
- * the queue (new frames answered "shutting_down"), let the batcher
+ * the queue (new frames answered "shutting_down", warm signatures
+ * included: the drain check precedes the memo probe), let the batcher
  * answer everything already accepted, then unblock readers and join.
  * Every accepted request is answered before wait() returns.
  *
@@ -60,6 +75,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "config.hpp"
@@ -106,14 +122,16 @@ struct ServerOptions
 struct ServerCounters
 {
     uint64_t connections = 0;     ///< Connections ever accepted.
-    uint64_t accepted = 0;        ///< Requests enqueued successfully.
+    uint64_t accepted = 0;        ///< Requests enqueued or answered inline.
     uint64_t pings = 0;           ///< Pings answered inline.
     uint64_t busyRejected = 0;    ///< Back-pressure rejections.
     uint64_t drainRejected = 0;   ///< Rejections during drain.
     uint64_t badRequests = 0;     ///< Parse/validation failures.
     uint64_t badFrames = 0;       ///< Oversized/zero-length frames.
-    uint64_t answered = 0;        ///< Responses written by the batcher.
-    uint64_t dedupHits = 0;       ///< Requests answered by a batch twin.
+    uint64_t answered = 0;        ///< Accepted requests answered.
+    uint64_t dedupHits = 0;       ///< Answered by another execution of
+                                  ///< the same signature.
+    uint64_t inlineAnswers = 0;   ///< Answered from the memo by a reader.
     uint64_t batches = 0;         ///< Batches executed.
     uint64_t timeouts = 0;        ///< Conns reaped by an I/O deadline.
     uint64_t shed = 0;            ///< Conns shed at accept (conn cap).
@@ -124,10 +142,10 @@ struct ServerCounters
 
 /**
  * One accepted connection. Reader thread reads frames; responses may
- * be written by the reader (ping, rejections) or the batcher, so
- * writes are serialized by the per-connection mutex. The fd is owned
- * here and closed with the last shared_ptr, so a response to a
- * request that outlived its reader still has a live socket.
+ * be written by the reader (ping, rejections, memo hits) or the
+ * batcher, so writes are serialized by the per-connection mutex. The
+ * fd is owned here and closed with the last shared_ptr, so a response
+ * to a request that outlived its reader still has a live socket.
  *
  * The connection also carries its admission-time ServeLimits snapshot
  * and the per-client fairness state those limits govern: a token
@@ -202,6 +220,9 @@ struct PendingRequest
     std::shared_ptr<Conn> conn;
     Request req;
     std::chrono::steady_clock::time_point enqueued;
+
+    /** Dedup/memo signature of a run or sparsify; empty otherwise. */
+    std::string signature;
 
     /** Absolute deadline; only meaningful when hasDeadline. */
     std::chrono::steady_clock::time_point deadline{};
@@ -281,6 +302,11 @@ class Server
     BoundedQueue<PendingRequest> queue_;
     std::atomic<bool> draining_{false};
 
+    /** Answer memo: signature → result JSON (see file comment). */
+    std::mutex memoMutex_;
+    std::unordered_map<std::string, std::shared_ptr<const std::string>>
+        memo_;
+
     std::thread acceptThread_;
     std::thread batcherThread_;
 
@@ -305,6 +331,7 @@ class Server
     std::atomic<uint64_t> badFrames_{0};
     std::atomic<uint64_t> answered_{0};
     std::atomic<uint64_t> dedupHits_{0};
+    std::atomic<uint64_t> inlineAnswers_{0};
     std::atomic<uint64_t> batches_{0};
     std::atomic<uint64_t> timeouts_{0};
     std::atomic<uint64_t> shed_{0};

@@ -7,8 +7,9 @@ Each CASE is one ctest entry (see tests/CMakeLists.txt). The cases pin
 the driver's user-facing contract: every subcommand is reachable from
 `tbstc help`, `tbstc help <cmd>` equals `tbstc <cmd> --help`, usage
 errors exit 2, `serve --help` documents every limit flag, `cpuinfo`
-reports every primitive of the kernel table, and a layer that does not
-tile fails alike on every accelerator.
+reports every primitive of the kernel table, a layer that does not
+tile fails alike on every accelerator, and `formats` refuses a layer
+wider than SDC's 16-bit column indices hold.
 """
 
 import re
@@ -108,6 +109,19 @@ def untileable_layer_fails_alike(binary, _):
               f"{accel}: stderr {r.stderr!r}, want {want!r}")
 
 
+def formats_rejects_columns_past_16_bits(binary, _):
+    # SDC's 16-bit column indices hold 65535 columns (0xffff pads), the
+    # tightest of the formats `tbstc formats` prints.
+    ok = tbstc(binary, "formats", "--layer", "8x65528x1")
+    check(ok.returncode == 0,
+          f"8x65528x1 exited {ok.returncode}, want 0:\n{ok.stderr}")
+    r = tbstc(binary, "formats", "--layer", "8x65536x1")
+    check(r.returncode == 2,
+          f"8x65536x1 exited {r.returncode}, want 2:\n{r.stderr}")
+    check("65535-column limit" in r.stderr,
+          f"8x65536x1 stderr names no column limit:\n{r.stderr}")
+
+
 CASES = {
     "HelpNamesEverySubcommand": help_names_every_subcommand,
     "HelpTopicMatchesDashHelp": help_topic_matches_dash_help,
@@ -116,6 +130,8 @@ CASES = {
     "CpuinfoListsEveryKernelPrimitive":
         cpuinfo_lists_every_kernel_primitive,
     "UntileableLayerFailsAlike": untileable_layer_fails_alike,
+    "FormatsRejectsColumnsPast16Bits":
+        formats_rejects_columns_past_16_bits,
 }
 
 

@@ -121,7 +121,9 @@ TEST_P(BlockSizeSweep, SimilarityToUsGrowsWithSmallerBlocks)
 std::string
 blockSizeName(const ::testing::TestParamInfo<size_t> &info)
 {
-    return "M" + std::to_string(info.param);
+    std::string name = "M";
+    name += std::to_string(info.param);
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, BlockSizeSweep,
@@ -195,9 +197,11 @@ std::string
 similarityName(
     const ::testing::TestParamInfo<std::tuple<double, uint64_t>> &info)
 {
-    return "s"
-        + std::to_string(static_cast<int>(std::get<0>(info.param) * 1000))
-        + "_seed" + std::to_string(std::get<1>(info.param));
+    std::string name = "s";
+    name += std::to_string(static_cast<int>(std::get<0>(info.param) * 1000));
+    name += "_seed";
+    name += std::to_string(std::get<1>(info.param));
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

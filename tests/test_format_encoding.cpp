@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -331,6 +332,48 @@ TEST(StreamProfile, WalksMatchReference)
                                         ->streamProfile(m));
             }
         }
+    }
+}
+
+TEST(ColumnLimit, WidestSdcAndCsrRoundTripAndOneMoreIsRejected)
+{
+    // SDC and CSR store 16-bit column indices (SDC reserves 0xffff
+    // for padding). At their widest they must still decode exactly and
+    // walk as format::streamProfile says; one column more must fail
+    // with the typed error instead of wrapping.
+    EXPECT_EQ(maxEncodableCols(StorageFormat::SDC), 65535u);
+    EXPECT_EQ(maxEncodableCols(StorageFormat::CSR), 65536u);
+    EXPECT_EQ(maxEncodableCols(StorageFormat::DDC), SIZE_MAX);
+    for (const StorageFormat f : {StorageFormat::SDC, StorageFormat::CSR}) {
+        SCOPED_TRACE(formatName(f));
+        const auto encode = [f](const Matrix &w, const Mask &mask) {
+            return f == StorageFormat::SDC ? encodeSdc(w, mask)
+                                           : encodeCsr(w, mask);
+        };
+        const size_t cols = maxEncodableCols(f);
+        Matrix w(2, cols);
+        Mask mask(2, cols);
+        for (size_t r = 0; r < 2; ++r)
+            for (size_t c = r; c < cols; c += 7 + r) {
+                mask.at(r, c) = 1;
+                w.at(r, c) = static_cast<float>(c + 1);
+            }
+        for (size_t r = 0; r < 2; ++r) {
+            mask.at(r, cols - 1) = 1;
+            w.at(r, cols - 1) = -1.0f;
+        }
+        const auto enc = encode(w, mask);
+        EXPECT_EQ(enc->decode(), w);
+        TbsMeta meta;
+        meta.m = 8;
+        expectSameStream(streamProfile(f, mask, meta),
+                         enc->streamProfile(8));
+
+        Matrix wide(2, cols + 1);
+        Mask wideMask(2, cols + 1);
+        wideMask.at(0, cols) = 1;
+        wide.at(0, cols) = 1.0f;
+        EXPECT_THROW(encode(wide, wideMask), ColumnLimitError);
     }
 }
 

@@ -56,10 +56,11 @@ std::string
 serializeSweepName(
     const ::testing::TestParamInfo<std::tuple<double, size_t>> &info)
 {
-    return "s"
-        + std::to_string(
-            static_cast<int>(std::get<0>(info.param) * 1000))
-        + "_d" + std::to_string(std::get<1>(info.param));
+    std::string name = "s";
+    name += std::to_string(static_cast<int>(std::get<0>(info.param) * 1000));
+    name += "_d";
+    name += std::to_string(std::get<1>(info.param));
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,8 @@
  * @file
  * Serve daemon tests: JSON parser, wire protocol, bounded queue,
  * and end-to-end server behavior (byte-identity with the one-shot
- * path, back-pressure, drain semantics).
+ * path, back-pressure, drain semantics, answers from the reader's
+ * memo).
  *
  * The end-to-end tests speak the real protocol over real sockets but
  * stay deterministic: the batcher test hook lets a test hold the
@@ -646,13 +647,19 @@ class TestClient
         return writeFrame(fd_, payload);
     }
 
-    /** Read one response; returns the parsed document. */
-    JsonValue recv()
+    /** Read one response frame's bytes ("" on a failed read). */
+    std::string recvRaw()
     {
         std::string frame;
         if (readFrame(fd_, frame) != FrameStatus::Ok)
             return {};
-        auto doc = parseJson(frame);
+        return frame;
+    }
+
+    /** Read one response; returns the parsed document. */
+    JsonValue recv()
+    {
+        auto doc = parseJson(recvRaw());
         return doc.ok() ? *std::move(doc) : JsonValue{};
     }
 
@@ -1043,6 +1050,199 @@ TEST(ServeServer, UnixSocketRoundTrip)
     server.wait();
     // The socket file is removed by the drain.
     EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+// ------------------------------------------------- inline (memo) answers
+
+Request
+sparsifyRequest(uint64_t id)
+{
+    Request req;
+    req.id = id;
+    req.op = Op::Sparsify;
+    req.sparsify.layer = "64x64x1";
+    req.sparsify.sparsity = 0.75;
+    return req;
+}
+
+/** The answer the batcher writes for @p req, computed in-process. */
+std::string
+expectedAnswer(const Request &req)
+{
+    if (req.op == Op::Run)
+        return okResponse(req.id,
+                          runResultJson(executeRun(req.run),
+                                        accel::accelName(req.run.kind)));
+    return okResponse(req.id,
+                      sparsifyResultJson(executeSparsify(req.sparsify)));
+}
+
+TEST(ServeInline, WarmRepeatsMatchTheBatcherAnswerByteForByte)
+{
+    const StoreGuard guard;
+    ContentStore::instance().setEnabled(true);
+    constexpr uint64_t kRequests = 6;
+    for (const Request &req :
+         {runRequest(7, "64x64x1", 0.5), sparsifyRequest(7)}) {
+        SCOPED_TRACE(serializeRequest(req));
+        Server server(ServerOptions{});
+        const auto started = server.start();
+        ASSERT_TRUE(started.ok()) << started.error();
+        TestClient client(*started);
+        ASSERT_TRUE(client.connected());
+
+        // The first answer comes from the batcher and warms the memo;
+        // every repeat is the reader's, with the same bytes.
+        ASSERT_TRUE(client.send(req));
+        const std::string first = client.recvRaw();
+        EXPECT_EQ(first, expectedAnswer(req));
+        for (uint64_t i = 1; i + 1 < kRequests; ++i) {
+            ASSERT_TRUE(client.send(req));
+            EXPECT_EQ(client.recvRaw(), first) << "repeat " << i;
+        }
+        // Another id and a deadline share the signature; the answer
+        // carries its own id.
+        Request other = req;
+        other.id = 99;
+        other.deadlineMs = 60000;
+        ASSERT_TRUE(client.send(other));
+        EXPECT_EQ(client.recvRaw(), expectedAnswer(other));
+
+        // The stats document counts the inline answers already sent.
+        Request st;
+        st.id = 8;
+        st.op = Op::Stats;
+        ASSERT_TRUE(client.send(st));
+        const JsonValue stats = client.recv();
+        EXPECT_DOUBLE_EQ(
+            stats.get("result").get("server").get("inline_answers")
+                .asNumber(),
+            static_cast<double>(kRequests - 1));
+        server.beginShutdown();
+        server.wait();
+
+        // One batch executed the request, one answered the stats.
+        const ServerCounters c = server.counters();
+        EXPECT_EQ(c.batches, 2u);
+        EXPECT_EQ(c.inlineAnswers, kRequests - 1);
+        EXPECT_EQ(c.dedupHits, kRequests - 1);
+        EXPECT_EQ(c.accepted, kRequests + 1);
+        EXPECT_EQ(c.answered, c.accepted);
+    }
+}
+
+TEST(ServeInline, DrainRefusesAWarmSignature)
+{
+    const StoreGuard guard;
+    ContentStore::instance().setEnabled(true);
+    Server server(ServerOptions{});
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    TestClient client(*started);
+    ASSERT_TRUE(client.connected());
+
+    const Request req = runRequest(1, "64x64x1", 0.5);
+    ASSERT_TRUE(client.send(req));
+    ASSERT_TRUE(client.recv().get("ok").asBool(false));
+
+    // The drain check runs before the memo probe: a warm signature
+    // arriving during the drain is refused like any other request.
+    server.beginShutdown();
+    ASSERT_TRUE(client.send(runRequest(2, "64x64x1", 0.5)));
+    const JsonValue refused = client.recv();
+    EXPECT_EQ(refused.get("kind").asString(), "shutting_down");
+    EXPECT_DOUBLE_EQ(refused.get("id").asNumber(), 2.0);
+    server.wait();
+    const ServerCounters c = server.counters();
+    EXPECT_EQ(c.inlineAnswers, 0u);
+    EXPECT_EQ(c.drainRejected, 1u);
+    EXPECT_EQ(c.answered, c.accepted);
+}
+
+TEST(ServeInline, RateLimitGatesAWarmSignature)
+{
+    const StoreGuard guard;
+    ContentStore::instance().setEnabled(true);
+    ServerOptions opts;
+    opts.limits.ratePerSec = 0.001;
+    opts.limits.rateBurst = 2.0;
+    Server server(opts);
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    TestClient client(*started);
+    ASSERT_TRUE(client.connected());
+
+    // Two tokens: the batcher's answer, then the reader's; the third
+    // request finds the bucket empty before it reaches the memo.
+    for (uint64_t id = 1; id <= 2; ++id) {
+        ASSERT_TRUE(client.send(runRequest(id, "64x64x1", 0.5)));
+        ASSERT_TRUE(client.recv().get("ok").asBool(false));
+    }
+    ASSERT_TRUE(client.send(runRequest(3, "64x64x1", 0.5)));
+    const JsonValue limited = client.recv();
+    EXPECT_EQ(limited.get("kind").asString(), "rate_limited");
+    EXPECT_DOUBLE_EQ(limited.get("id").asNumber(), 3.0);
+
+    server.beginShutdown();
+    server.wait();
+    const ServerCounters c = server.counters();
+    EXPECT_EQ(c.inlineAnswers, 1u);
+    EXPECT_EQ(c.rateLimited, 1u);
+    EXPECT_EQ(c.answered, c.accepted);
+}
+
+TEST(ServeInline, DisabledStoreComputesEveryRequest)
+{
+    const StoreGuard guard;
+    ContentStore::instance().setEnabled(false);
+    Server server(ServerOptions{});
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    TestClient client(*started);
+    ASSERT_TRUE(client.connected());
+
+    constexpr uint64_t kRequests = 4;
+    for (const Request &req :
+         {runRequest(5, "64x64x1", 0.5), sparsifyRequest(5)}) {
+        const std::string want = expectedAnswer(req);
+        for (uint64_t i = 0; i < kRequests; ++i) {
+            ASSERT_TRUE(client.send(req));
+            EXPECT_EQ(client.recvRaw(), want);
+        }
+    }
+    server.beginShutdown();
+    server.wait();
+    const ServerCounters c = server.counters();
+    EXPECT_EQ(c.inlineAnswers, 0u);
+    EXPECT_EQ(c.batches, 2 * kRequests);
+    EXPECT_EQ(c.answered, c.accepted);
+}
+
+TEST(ServeInline, FailuresAreExecutedEveryTime)
+{
+    const StoreGuard guard;
+    ContentStore::instance().setEnabled(true);
+    Server server(ServerOptions{});
+    const auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error();
+    TestClient client(*started);
+    ASSERT_TRUE(client.connected());
+
+    // A layer that does not tile by m = 8 parses but fails in
+    // execution; the failure is answered, never filed.
+    constexpr uint64_t kRequests = 3;
+    for (uint64_t i = 0; i < kRequests; ++i) {
+        ASSERT_TRUE(client.send(runRequest(4, "100x100x1", 0.5)));
+        const JsonValue resp = client.recv();
+        EXPECT_FALSE(resp.get("ok").asBool(true));
+        EXPECT_EQ(resp.get("kind").asString(), "internal");
+    }
+    server.beginShutdown();
+    server.wait();
+    const ServerCounters c = server.counters();
+    EXPECT_EQ(c.inlineAnswers, 0u);
+    EXPECT_EQ(c.batches, kRequests);
+    EXPECT_EQ(c.answered, c.accepted);
 }
 
 TEST(ServeLoadgen, MixIsDeterministicAndCommandsPrintable)

@@ -122,9 +122,13 @@ std::string
 convLoweringName(
     const ::testing::TestParamInfo<std::tuple<int, int, int>> &info)
 {
-    return "s" + std::to_string(std::get<0>(info.param)) + "_p"
-        + std::to_string(std::get<1>(info.param)) + "_c"
-        + std::to_string(std::get<2>(info.param));
+    std::string name = "s";
+    name += std::to_string(std::get<0>(info.param));
+    name += "_p";
+    name += std::to_string(std::get<1>(info.param));
+    name += "_c";
+    name += std::to_string(std::get<2>(info.param));
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -340,11 +340,15 @@ cmdFormats(util::FlagSet &flags, int argc, char **argv)
                       dram.stream(p).utilisation() * 100.0, 1)
                       + "%"});
     };
-    row("Dense", *format::encodeDense(w));
-    row("SDC", *format::encodeSdc(w, tbs.mask));
-    row("CSR", *format::encodeCsr(w, tbs.mask));
-    row("Bitmap", *format::encodeBitmap(w, tbs.mask));
-    row("DDC", *format::encodeDdc(w, tbs.mask, tbs.meta));
+    try {
+        row("Dense", *format::encodeDense(w));
+        row("SDC", *format::encodeSdc(w, tbs.mask));
+        row("CSR", *format::encodeCsr(w, tbs.mask));
+        row("Bitmap", *format::encodeBitmap(w, tbs.mask));
+        row("DDC", *format::encodeDdc(w, tbs.mask, tbs.meta));
+    } catch (const format::ColumnLimitError &e) {
+        fail(e.what());
+    }
     std::printf("TBS mask on %llux%llu at %.1f%% sparsity:\n",
                 static_cast<unsigned long long>(w.rows()),
                 static_cast<unsigned long long>(w.cols()),
@@ -615,13 +619,14 @@ cmdServe(util::FlagSet &flags, int argc, char **argv)
     const serve::ServerCounters c = server.counters();
     std::fprintf(stderr,
                  "tbstc serve: drained — %llu answered, %llu batches, "
-                 "%llu dedup hits, %llu busy-rejected, "
+                 "%llu dedup hits (%llu inline), %llu busy-rejected, "
                  "%llu connections, %llu timeouts, %llu shed, "
                  "%llu rate-limited, %llu deadline-exceeded, "
                  "%llu reloads\n",
                  static_cast<unsigned long long>(c.answered),
                  static_cast<unsigned long long>(c.batches),
                  static_cast<unsigned long long>(c.dedupHits),
+                 static_cast<unsigned long long>(c.inlineAnswers),
                  static_cast<unsigned long long>(c.busyRejected),
                  static_cast<unsigned long long>(c.connections),
                  static_cast<unsigned long long>(c.timeouts),
